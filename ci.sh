@@ -18,6 +18,11 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q (offline)"
 cargo test -q --workspace --offline
 
+echo "==> benchmark smoke tests (offline; its own workspace under benchmark/)"
+# Building the benchmark here makes a removed public API it still calls
+# fail tier-1 instead of the next benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -D warnings (offline, scoped allows)"
 cargo clippy --workspace --all-targets --offline -- -D warnings "${CLIPPY_ALLOW[@]}"
 

@@ -1,10 +1,10 @@
-//! AIG-reduced CNF encoding for the SAT-attack family.
+//! AIG-reduced CNF encoding: the one encoder behind every SAT-based attack
+//! (the SAT family, DynUnlock, key sensitization) and [`crate::verify`].
 //!
-//! The legacy [`crate::cnf`] encoder Tseitin-translates the raw netlist
-//! gate-by-gate, so every miter copy and every per-DIP I/O constraint adds a
-//! full, unreduced circuit clone to the solver. This module routes all
-//! encoding through the workspace's and-inverter graph instead
-//! ([`aigsynth::Aig`]), which buys five structural reductions before a
+//! Rather than Tseitin-translating the raw netlist gate by gate, which
+//! would add a full, unreduced circuit clone per miter copy and per I/O
+//! constraint, all encoding routes through the workspace's and-inverter
+//! graph ([`aigsynth::Aig`]). That buys five structural reductions before a
 //! single clause is emitted:
 //!
 //! 1. **Structural hashing** — identical subcircuits collapse to one AIG

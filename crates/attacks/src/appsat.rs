@@ -306,28 +306,20 @@ impl AttackSession for AppSatSession<'_> {
     }
 }
 
-/// Runs the approximate attack to completion. A returned key is
-/// *approximate*: it agreed with the oracle on the settlement sample, not
-/// necessarily everywhere. (Thin wrapper over the engine with an inert
-/// control block.)
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &AppSatConfig,
-) -> AttackOutcome {
-    crate::engine::run(
-        &AppSatEngine { config: *config },
-        locked,
-        oracle,
-        &mut AttackCtl::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{CombOracle, DeadOracle};
     use netlist::samples;
+
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        config: &AppSatConfig,
+    ) -> AttackOutcome {
+        let engine = AppSatEngine { config: *config };
+        crate::engine::run(&engine, locked, oracle, &mut AttackCtl::new())
+    }
 
     #[test]
     fn recovers_rll_key_exactly_or_approximately() {
@@ -338,7 +330,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &AppSatConfig::default());
+        let out = run(&locked, &mut oracle, &AppSatConfig::default());
         let key = out.key.expect("AppSAT recovers simple locks");
         // Approximate key must be at least 99% accurate on random patterns.
         let rep = gatesim::hd::hamming_between_keys(
@@ -389,7 +381,7 @@ mod tests {
             error_threshold: 0.05,
             ..AppSatConfig::default()
         };
-        let out = attack(&locked, &mut oracle, &cfg);
+        let out = run(&locked, &mut oracle, &cfg);
         let key = out.key.expect("AppSAT settles on compound locking");
         let rep = gatesim::hd::hamming_between_keys(
             &locked.circuit,
@@ -418,7 +410,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = DeadOracle::new(8, 5);
-        let out = attack(&locked, &mut oracle, &AppSatConfig::default());
+        let out = run(&locked, &mut oracle, &AppSatConfig::default());
         assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
     }
 }

@@ -298,27 +298,21 @@ impl AttackSession for DoubleDipSession<'_> {
     }
 }
 
-/// Runs the Double-DIP attack to completion (thin wrapper over the engine
-/// with an inert control block).
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &DoubleDipConfig,
-) -> AttackOutcome {
-    crate::engine::run(
-        &DoubleDipEngine { config: *config },
-        locked,
-        oracle,
-        &mut AttackCtl::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::key_is_functionally_correct;
     use crate::oracle::{CombOracle, DeadOracle};
     use netlist::samples;
+
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        config: &DoubleDipConfig,
+    ) -> AttackOutcome {
+        let engine = DoubleDipEngine { config: *config };
+        crate::engine::run(&engine, locked, oracle, &mut AttackCtl::new())
+    }
 
     #[test]
     fn recovers_rll_key() {
@@ -329,7 +323,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &DoubleDipConfig::default());
+        let out = run(&locked, &mut oracle, &DoubleDipConfig::default());
         let key = out.key.expect("Double-DIP breaks RLL");
         assert!(key_is_functionally_correct(&locked, &key, 1024).unwrap());
     }
@@ -361,7 +355,7 @@ mod tests {
             scheme: "rll+sarlock",
         };
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &DoubleDipConfig::default());
+        let out = run(&locked, &mut oracle, &DoubleDipConfig::default());
         // The returned key (exact after fallback) must unlock.
         let key = out.key.expect("compound falls to Double-DIP");
         assert!(key_is_functionally_correct(&locked, &key, 4096).unwrap());
@@ -376,7 +370,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = DeadOracle::new(6, 4);
-        let out = attack(&locked, &mut oracle, &DoubleDipConfig::default());
+        let out = run(&locked, &mut oracle, &DoubleDipConfig::default());
         assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
     }
 }

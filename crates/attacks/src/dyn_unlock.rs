@@ -303,26 +303,21 @@ impl Oracle for ScanSessionOracle {
     }
 }
 
-/// Runs DynUnlock to completion with an inert control block.
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &DynUnlockConfig,
-) -> AttackOutcome {
-    crate::engine::run(
-        &DynUnlockEngine { config: *config },
-        locked,
-        oracle,
-        &mut AttackCtl::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify;
     use locking::scan_obfuscation::{self, ScanObfConfig, UnrollOptions};
     use netlist::samples;
+
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        config: &DynUnlockConfig,
+    ) -> AttackOutcome {
+        let engine = DynUnlockEngine { config: *config };
+        crate::engine::run(&engine, locked, oracle, &mut AttackCtl::new())
+    }
 
     fn workload() -> (ScanObfLocked, UnrolledSession) {
         let orig = samples::counter(8);
@@ -345,7 +340,7 @@ mod tests {
     fn recovers_the_scan_seed() {
         let (locked, unrolled) = workload();
         let mut oracle = ScanSessionOracle::new(&locked, &unrolled).unwrap();
-        let out = attack(
+        let out = run(
             &unrolled.locked,
             &mut oracle,
             &DynUnlockConfig::for_session(&unrolled),
@@ -362,7 +357,7 @@ mod tests {
     fn dropped_frame_sabotage_is_semantic() {
         let (locked, unrolled) = workload();
         let mut oracle = ScanSessionOracle::new(&locked, &unrolled).unwrap();
-        let out = attack(
+        let out = run(
             &unrolled.locked,
             &mut oracle,
             &DynUnlockConfig {
@@ -387,7 +382,7 @@ mod tests {
             unrolled.data_bits(),
             unrolled.locked.circuit.primary_outputs().len(),
         );
-        let out = attack(&unrolled.locked, &mut oracle, &DynUnlockConfig::default());
+        let out = run(&unrolled.locked, &mut oracle, &DynUnlockConfig::default());
         assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
     }
 }

@@ -1,10 +1,8 @@
 //! The unified attack-engine surface: one session/progress/interrupt
 //! contract for every oracle-guided attack.
 //!
-//! Historically each attack was a free function with its own loop, its own
-//! way of counting oracle queries, and no way to stop it short of killing
-//! the thread. This module defines the control surface the serving layer,
-//! the bench binaries, and the conformance loops all drive:
+//! This module is the one entry point every caller drives — the CLI, the
+//! serving layer, the bench binaries and the conformance loops:
 //!
 //! - [`AttackEngine`] — a named factory that [`start`](AttackEngine::start)s
 //!   a session over a locked circuit and an oracle.
@@ -129,8 +127,7 @@ pub enum EngineSabotage {
 /// interrupt sources, the oracle-query ledger/budget, and the progress sink.
 ///
 /// A default `AttackCtl` (no cancel flag, no deadline, no budget, no sink)
-/// is inert — stepping a session with it behaves exactly like the historical
-/// free-function attacks.
+/// is inert: it never interrupts, limits or reports on a session.
 #[derive(Default)]
 pub struct AttackCtl {
     cancel: Option<Arc<AtomicBool>>,
@@ -312,8 +309,7 @@ impl AttackCtl {
 /// attack's configuration; [`start`](AttackEngine::start) builds the session
 /// (encoders, solvers, compiled circuits) without running any of the loop.
 pub trait AttackEngine {
-    /// Stable attack name (`"sat"`, `"appsat"`, `"double_dip"`,
-    /// `"hill_climbing"`, `"sensitization"`).
+    /// Stable attack name (one of [`ENGINE_NAMES`]).
     fn name(&self) -> &'static str;
 
     /// Builds a session over `locked` and `oracle`. The session borrows
@@ -344,8 +340,8 @@ pub trait AttackSession {
 }
 
 /// Drives a session to completion under `ctl`, mapping an interrupt to its
-/// failure outcome. This is the single loop the legacy `attack()` wrappers,
-/// the serve layer, the bench binaries, and the conformance loops all use.
+/// failure outcome. This is the single attack entry point: the CLI, the
+/// serve layer, the bench binaries and the conformance loops all use it.
 pub fn run(
     engine: &dyn AttackEngine,
     locked: &LockedCircuit,

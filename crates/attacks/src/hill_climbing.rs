@@ -8,8 +8,8 @@
 //! The paper notes the attack can alternatively use designer-provided *test
 //! responses* of the unlocked circuit; under OraP the chip is tested locked,
 //! so those responses correspond to the locked circuit and the attack learns
-//! nothing — [`attack_with_responses`] lets experiments demonstrate exactly
-//! that.
+//! nothing — [`HillClimbSession::with_responses`] lets experiments
+//! demonstrate exactly that.
 //!
 //! Scoring runs on the compiled engine's *incremental* kernel: the sampled
 //! patterns are packed 64 per word batch and fully swept once per restart;
@@ -100,7 +100,7 @@ enum HcPhase {
 
 /// The deduplicated hill-climbing core: the packed batches, scratches and
 /// greedy restart/sweep state shared by the live-oracle engine path and the
-/// fixed-responses shim ([`attack_with_responses`]).
+/// fixed-responses session ([`HillClimbSession::with_responses`]).
 struct HcSearch {
     cc: CompiledCircuit,
     inputs: Vec<netlist::NetId>,
@@ -121,9 +121,8 @@ struct HcSearch {
 }
 
 impl HcSearch {
-    /// Builds the search state exactly as the historical
-    /// `attack_with_responses` body did (compile, position maps, 64-lane
-    /// batch packing), or `None` when the circuit cannot be compiled.
+    /// Builds the search state (compile, position maps, 64-lane batch
+    /// packing), or `None` when the circuit cannot be compiled.
     fn build(
         locked: &LockedCircuit,
         patterns: &[Vec<bool>],
@@ -292,7 +291,7 @@ impl HcSearch {
 /// responses; each later step runs one random restart.
 pub struct HillClimbSession<'a> {
     locked: &'a LockedCircuit,
-    /// `None` for the fixed-responses shim, which never samples.
+    /// `None` for a fixed-responses session, which never samples.
     oracle: Option<&'a mut dyn Oracle>,
     config: HillClimbConfig,
     phase: HcPhase,
@@ -459,37 +458,6 @@ impl AttackSession for HillClimbSession<'_> {
     }
 }
 
-/// Runs hill climbing against a live oracle: samples `sample_patterns`
-/// responses, then searches the key space. (Thin wrapper over the engine
-/// with an inert control block.)
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &HillClimbConfig,
-) -> AttackOutcome {
-    crate::engine::run(
-        &HillClimbEngine { config: *config },
-        locked,
-        oracle,
-        &mut AttackCtl::new(),
-    )
-}
-
-/// Runs hill climbing against a fixed set of stimulus/response pairs (e.g.
-/// manufacturing-test data). Returns the recovered key only if it explains
-/// every response exactly. (Thin shim over the engine-backed search core.)
-pub fn attack_with_responses(
-    locked: &LockedCircuit,
-    patterns: &[Vec<bool>],
-    responses: &[Vec<bool>],
-    config: &HillClimbConfig,
-    queries_attempted: usize,
-) -> AttackOutcome {
-    let mut session =
-        HillClimbSession::with_responses(locked, patterns, responses, config, queries_attempted);
-    crate::engine::drive(&mut session, &mut AttackCtl::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,6 +465,15 @@ mod tests {
     use crate::oracle::{CombOracle, DeadOracle};
     use gatesim::CombSim;
     use netlist::samples;
+
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        config: &HillClimbConfig,
+    ) -> AttackOutcome {
+        let engine = HillClimbEngine { config: *config };
+        crate::engine::run(&engine, locked, oracle, &mut AttackCtl::new())
+    }
 
     #[test]
     fn climbs_to_rll_key() {
@@ -507,7 +484,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &HillClimbConfig::default());
+        let out = run(&locked, &mut oracle, &HillClimbConfig::default());
         let key = out.key.expect("hill climbing breaks small RLL");
         assert!(key_is_functionally_correct(&locked, &key, 1024).unwrap());
     }
@@ -521,7 +498,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &HillClimbConfig::default());
+        let out = run(&locked, &mut oracle, &HillClimbConfig::default());
         let e = out.telemetry.engine;
         assert!(e.full_evals > 0, "each restart starts with a full sweep");
         assert!(
@@ -539,7 +516,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = DeadOracle::new(8, 5);
-        let out = attack(&locked, &mut oracle, &HillClimbConfig::default());
+        let out = run(&locked, &mut oracle, &HillClimbConfig::default());
         assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
     }
 
@@ -578,13 +555,14 @@ mod tests {
             patterns.push(x);
             responses.push(sim.eval_bools(&input));
         }
-        let out = attack_with_responses(
+        let mut session = HillClimbSession::with_responses(
             &locked,
             &patterns,
             &responses,
             &HillClimbConfig::default(),
             0,
         );
+        let out = crate::engine::drive(&mut session, &mut AttackCtl::new());
         if let Some(key) = out.key {
             // The attack "succeeds" on the locked responses, but the key it
             // finds is the cleared register — functionally wrong.

@@ -32,13 +32,14 @@
 //! # Example
 //!
 //! ```
-//! use attacks::{sat, CombOracle};
+//! use attacks::engine::{self, AttackCtl};
+//! use attacks::{sat::SatEngine, CombOracle};
 //! use locking::random::{self, RllConfig};
 //!
 //! let original = netlist::samples::ripple_adder(4);
 //! let locked = random::lock(&original, &RllConfig { key_bits: 6, seed: 1 }).expect("lockable");
 //! let mut oracle = CombOracle::from_locked(&locked).expect("valid lock");
-//! let outcome = sat::attack(&locked, &mut oracle, &sat::SatAttackConfig::default());
+//! let outcome = engine::run(&SatEngine::default(), &locked, &mut oracle, &mut AttackCtl::new());
 //! let key = outcome.key.expect("RLL falls to the SAT attack");
 //! assert!(attacks::key_is_functionally_correct(&locked, &key, 512).expect("simulable"));
 //! ```
@@ -47,7 +48,6 @@
 
 pub mod aigcnf;
 pub mod appsat;
-pub mod cnf;
 pub mod double_dip;
 pub mod dyn_unlock;
 pub mod engine;

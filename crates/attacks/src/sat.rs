@@ -306,21 +306,6 @@ impl AttackSession for SatSession<'_> {
     }
 }
 
-/// Runs the SAT attack to completion (thin wrapper over the engine with an
-/// inert control block).
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &SatAttackConfig,
-) -> AttackOutcome {
-    crate::engine::run(
-        &SatEngine { config: *config },
-        locked,
-        oracle,
-        &mut AttackCtl::new(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,13 +315,22 @@ mod tests {
     use locking::weighted::WllConfig;
     use netlist::samples;
 
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        config: &SatAttackConfig,
+    ) -> AttackOutcome {
+        let engine = SatEngine { config: *config };
+        crate::engine::run(&engine, locked, oracle, &mut AttackCtl::new())
+    }
+
     #[test]
     fn breaks_rll_on_adder() {
         let original = samples::ripple_adder(4);
         let locked =
             locking::random::lock(&original, &RllConfig { key_bits: 8, seed: 3 }).unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         let key = out.key.expect("SAT attack must break RLL");
         assert!(key_is_functionally_correct(&locked, &key, 1024).unwrap());
         assert!(out.iterations <= 256, "RLL should fall quickly");
@@ -355,7 +349,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         let key = out.key.expect("WLL offers no SAT resistance");
         assert!(key_is_functionally_correct(&locked, &key, 1024).unwrap());
     }
@@ -366,7 +360,7 @@ mod tests {
         let locked =
             locking::random::lock(&original, &RllConfig { key_bits: 12, seed: 7 }).unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         let key = out.key.expect("attack succeeds");
         assert!(key_is_functionally_correct(&locked, &key, 2048).unwrap());
     }
@@ -382,7 +376,7 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(
+        let out = run(
             &locked,
             &mut oracle,
             &SatAttackConfig {
@@ -394,7 +388,7 @@ mod tests {
 
         // And with enough budget it does finish (2^8 DIPs max).
         let mut oracle2 = CombOracle::from_locked(&locked).unwrap();
-        let out2 = attack(
+        let out2 = run(
             &locked,
             &mut oracle2,
             &SatAttackConfig {
@@ -413,7 +407,7 @@ mod tests {
         let locked =
             locking::random::lock(&original, &RllConfig { key_bits: 8, seed: 3 }).unwrap();
         let mut oracle = DeadOracle::new(8, 5);
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         assert!(!out.succeeded());
         assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
         assert_eq!(out.iterations, 1, "fails at the first query");
@@ -437,7 +431,7 @@ mod tests {
             scheme: "degenerate",
         };
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         assert_eq!(out.iterations, 0, "miter is UNSAT from the start");
         assert!(out.key.is_some());
     }
@@ -448,7 +442,7 @@ mod tests {
         let locked =
             locking::random::lock(&original, &RllConfig { key_bits: 8, seed: 3 }).unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let out = attack(&locked, &mut oracle, &SatAttackConfig::default());
+        let out = run(&locked, &mut oracle, &SatAttackConfig::default());
         assert!(out.key.is_some());
         assert_eq!(out.telemetry.dips.len(), out.iterations);
         // Note: the final live-clause count may legitimately be zero — once

@@ -8,13 +8,10 @@
 //! RLL) leak this way; interference between key bits (or — the OraP case —
 //! a dead oracle) stops the attack.
 
-use std::collections::HashMap;
-
 use cdcl::{Lit, SolveResult, Solver, Var};
 use locking::LockedCircuit;
-use netlist::NetId;
 
-use crate::cnf::{add_io_constraint, bind_fresh, encode, encode_xor};
+use crate::aigcnf::ReducedEncoder;
 use crate::engine::{
     AttackCtl, AttackEngine, AttackSession, Interrupt, Milestone, ProgressEvent, StepStatus,
 };
@@ -44,15 +41,6 @@ pub enum BitVerdict {
     Unsensitizable,
 }
 
-/// Detailed sensitization report.
-#[derive(Debug, Clone)]
-pub struct SensitizationReport {
-    /// Per-key-bit verdicts.
-    pub verdicts: Vec<BitVerdict>,
-    /// The standard outcome view (key present iff all bits inferred).
-    pub outcome: AttackOutcome,
-}
-
 /// Key sensitization as an [`AttackEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SensitizationEngine {
@@ -78,7 +66,6 @@ impl AttackEngine for SensitizationEngine {
 /// many probes were answered so far.
 struct BitProbe {
     miter: Solver,
-    data_vars: Vec<Var>,
     probe: usize,
     found_any: bool,
     /// A sensitizing input found but not yet answered (interrupt stash).
@@ -88,18 +75,17 @@ struct BitProbe {
 /// A sensitization attack in progress; each step probes one key bit, the
 /// final step runs consistency inference.
 pub struct SensitizationSession<'a> {
-    locked: &'a LockedCircuit,
     oracle: &'a mut dyn Oracle,
     config: SensitizationConfig,
-    cc: netlist::CompiledCircuit,
-    data_inputs: Vec<NetId>,
-    outputs: Vec<NetId>,
     nk: usize,
-    /// Consistency solver: accumulates every oracle observation over one set
-    /// of key variables.
+    /// Consistency solver: accumulates every oracle observation over the
+    /// one key copy of `consistency_enc`.
     consistency: Solver,
-    kc: HashMap<NetId, Lit>,
-    kc_vars: Vec<Var>,
+    consistency_enc: ReducedEncoder,
+    /// Two-copy miter template (shared data variables, key copies 0 and
+    /// 1) and its encoder, both cloned once per probed bit.
+    template: Solver,
+    template_enc: ReducedEncoder,
     verdicts: Vec<BitVerdict>,
     probes: usize,
     bit: usize,
@@ -114,30 +100,19 @@ impl<'a> SensitizationSession<'a> {
         oracle: &'a mut dyn Oracle,
         config: &SensitizationConfig,
     ) -> Self {
-        let c = &locked.circuit;
-        // One compiled artifact feeds every miter copy and consistency
-        // constraint: the circuit is levelized once for the whole attack.
-        let cc = netlist::CompiledCircuit::compile(c).expect("attack targets are acyclic");
-        let data_inputs: Vec<NetId> = c
-            .comb_inputs()
-            .into_iter()
-            .filter(|n| !locked.key_inputs.contains(n))
-            .collect();
-        let outputs = c.comb_outputs();
         let nk = locked.key_inputs.len();
         let mut consistency = Solver::new();
-        let (kc, kc_vars) = bind_fresh(&mut consistency, &locked.key_inputs);
+        let consistency_enc = ReducedEncoder::new(locked, &mut consistency, 1);
+        let mut template = Solver::new();
+        let template_enc = ReducedEncoder::new(locked, &mut template, 2);
         SensitizationSession {
-            locked,
             oracle,
             config: *config,
-            cc,
-            data_inputs,
-            outputs,
             nk,
             consistency,
-            kc,
-            kc_vars,
+            consistency_enc,
+            template,
+            template_enc,
             verdicts: vec![BitVerdict::Ambiguous; nk],
             probes: 0,
             bit: 0,
@@ -148,45 +123,24 @@ impl<'a> SensitizationSession<'a> {
     }
 
     /// Builds the sensitization miter for key bit `self.bit`: two copies
-    /// share X and all key bits except that bit, which is 0 in copy 1 and 1
-    /// in copy 2; outputs must differ.
+    /// share X and all key bits except that bit, which is 0 in copy 0 and 1
+    /// in copy 1; some key-dependent output must differ.
     fn build_probe(&self) -> BitProbe {
-        let key_net = self.locked.key_inputs[self.bit];
-        let mut miter = Solver::new();
-        let (data_bind, data_vars) = bind_fresh(&mut miter, &self.data_inputs);
-        let shared_keys: HashMap<NetId, Lit> = {
-            let others: Vec<NetId> = self
-                .locked
-                .key_inputs
-                .iter()
-                .copied()
-                .filter(|&k| k != key_net)
-                .collect();
-            let (m, _) = bind_fresh(&mut miter, &others);
-            m
-        };
-        let bit0 = miter.new_var();
-        miter.add_clause(&[bit0.negative()]);
-        let bit1 = miter.new_var();
-        miter.add_clause(&[bit1.positive()]);
-
-        let mut bound1 = data_bind.clone();
-        bound1.extend(shared_keys.iter().map(|(n, l)| (*n, *l)));
-        bound1.insert(key_net, bit0.positive());
-        let lits1 = encode(&mut miter, &self.cc, &bound1);
-        let mut bound2 = data_bind.clone();
-        bound2.extend(shared_keys.iter().map(|(n, l)| (*n, *l)));
-        bound2.insert(key_net, bit1.positive());
-        let lits2 = encode(&mut miter, &self.cc, &bound2);
-        let diffs: Vec<Lit> = self
-            .outputs
-            .iter()
-            .map(|o| encode_xor(&mut miter, lits1[o.index()], lits2[o.index()]))
-            .collect();
-        miter.add_clause(&diffs);
+        let mut miter = self.template.clone();
+        let mut enc = self.template_enc.clone();
+        for j in 0..self.nk {
+            let (k0, k1) = (enc.key_vars(0)[j], enc.key_vars(1)[j]);
+            if j == self.bit {
+                miter.add_clause(&[k0.negative()]);
+                miter.add_clause(&[k1.positive()]);
+            } else {
+                miter.add_clause(&[k0.negative(), k1.positive()]);
+                miter.add_clause(&[k0.positive(), k1.negative()]);
+            }
+        }
+        enc.assert_miter(&mut miter, 0, 1, None);
         BitProbe {
             miter,
-            data_vars,
             probe: 0,
             found_any: false,
             pending_x: None,
@@ -208,8 +162,7 @@ impl<'a> SensitizationSession<'a> {
                     SolveResult::Sat => {
                         probe.found_any = true;
                         self.probes += 1;
-                        probe
-                            .data_vars
+                        self.data_vars()
                             .iter()
                             .map(|&v| probe.miter.value(v).unwrap_or(false))
                             .collect()
@@ -241,18 +194,11 @@ impl<'a> SensitizationSession<'a> {
                     return StepStatus::Done;
                 }
                 Ok(Some(y)) => {
-                    add_io_constraint(
-                        &mut self.consistency,
-                        &self.cc,
-                        &self.data_inputs,
-                        &self.kc,
-                        &x,
-                        &y,
-                        &self.outputs,
-                    );
+                    self.consistency_enc
+                        .add_io_constraint(&mut self.consistency, 0, &x, &y);
                     // Block this X so the next probe differs.
-                    let block: Vec<Lit> = probe
-                        .data_vars
+                    let block: Vec<Lit> = self
+                        .data_vars()
                         .iter()
                         .zip(&x)
                         .map(|(&v, &b)| v.lit(!b))
@@ -294,7 +240,8 @@ impl<'a> SensitizationSession<'a> {
                 SolveResult::Unsat => Ok(false),
                 SolveResult::Unknown => Err(()),
             };
-            let can_be_0 = match assume(&mut self.consistency, self.kc_vars[bi].negative()) {
+            let kv = self.consistency_enc.key_vars(0)[bi];
+            let can_be_0 = match assume(&mut self.consistency, kv.negative()) {
                 Ok(v) => v,
                 Err(()) => {
                     let why = ctl
@@ -303,7 +250,7 @@ impl<'a> SensitizationSession<'a> {
                     return StepStatus::Interrupted(why);
                 }
             };
-            let can_be_1 = match assume(&mut self.consistency, self.kc_vars[bi].positive()) {
+            let can_be_1 = match assume(&mut self.consistency, kv.positive()) {
                 Ok(v) => v,
                 Err(()) => {
                     let why = ctl
@@ -342,6 +289,11 @@ impl<'a> SensitizationSession<'a> {
         StepStatus::Done
     }
 
+    /// The miter's shared data variables, aligned with the oracle's inputs.
+    fn data_vars(&self) -> &[Var] {
+        self.template_enc.data_vars()
+    }
+
     /// The per-bit verdicts accumulated so far (complete once the session
     /// reports [`StepStatus::Done`]).
     pub fn verdicts(&self) -> &[BitVerdict] {
@@ -377,27 +329,23 @@ impl AttackSession for SensitizationSession<'_> {
     }
 }
 
-/// Runs the key-sensitization attack, returning the per-bit verdict detail
-/// alongside the standard outcome. (Drives a [`SensitizationSession`] with
-/// an inert control block.)
-pub fn attack(
-    locked: &LockedCircuit,
-    oracle: &mut dyn Oracle,
-    config: &SensitizationConfig,
-) -> SensitizationReport {
-    let mut session = SensitizationSession::new(locked, oracle, config);
-    let outcome = crate::engine::drive(&mut session, &mut AttackCtl::new());
-    SensitizationReport {
-        verdicts: session.verdicts.clone(),
-        outcome,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{CombOracle, DeadOracle};
     use netlist::samples;
+
+    /// Runs a session to completion, returning its verdicts and outcome.
+    fn run(
+        locked: &LockedCircuit,
+        oracle: &mut dyn Oracle,
+        probes_per_bit: usize,
+    ) -> (Vec<BitVerdict>, AttackOutcome) {
+        let config = SensitizationConfig { probes_per_bit };
+        let mut session = SensitizationSession::new(locked, oracle, &config);
+        let outcome = crate::engine::drive(&mut session, &mut AttackCtl::new());
+        (session.verdicts().to_vec(), outcome)
+    }
 
     #[test]
     fn infers_isolated_key_bits() {
@@ -410,15 +358,14 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let report = attack(&locked, &mut oracle, &SensitizationConfig { probes_per_bit: 8 });
-        let inferred = report
-            .verdicts
+        let (verdicts, _) = run(&locked, &mut oracle, 8);
+        let inferred = verdicts
             .iter()
             .filter(|v| matches!(v, BitVerdict::Inferred(_)))
             .count();
-        assert!(inferred >= 2, "expected some bits inferred, got {report:?}");
+        assert!(inferred >= 2, "expected some bits inferred, got {verdicts:?}");
         // Every inferred bit must match the real key (soundness).
-        for (bi, v) in report.verdicts.iter().enumerate() {
+        for (bi, v) in verdicts.iter().enumerate() {
             if let BitVerdict::Inferred(b) = v {
                 assert_eq!(
                     *b, locked.correct_key[bi],
@@ -437,8 +384,8 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let report = attack(&locked, &mut oracle, &SensitizationConfig { probes_per_bit: 16 });
-        if let Some(key) = &report.outcome.key {
+        let (_, outcome) = run(&locked, &mut oracle, 16);
+        if let Some(key) = &outcome.key {
             assert!(crate::key_is_functionally_correct(&locked, key, 1024).unwrap());
         }
     }
@@ -452,11 +399,9 @@ mod tests {
         )
         .unwrap();
         let mut oracle = DeadOracle::new(8, 5);
-        let report = attack(&locked, &mut oracle, &SensitizationConfig::default());
-        assert_eq!(
-            report.outcome.failure,
-            Some(FailureReason::OracleUnavailable)
-        );
+        let probes = SensitizationConfig::default().probes_per_bit;
+        let (_, outcome) = run(&locked, &mut oracle, probes);
+        assert_eq!(outcome.failure, Some(FailureReason::OracleUnavailable));
     }
 
     #[test]
@@ -475,11 +420,70 @@ mod tests {
         )
         .unwrap();
         let mut oracle = CombOracle::from_locked(&locked).unwrap();
-        let report = attack(&locked, &mut oracle, &SensitizationConfig { probes_per_bit: 6 });
-        for (bi, v) in report.verdicts.iter().enumerate() {
+        let (verdicts, _) = run(&locked, &mut oracle, 6);
+        for (bi, v) in verdicts.iter().enumerate() {
             if let BitVerdict::Inferred(b) = v {
                 assert_eq!(*b, locked.correct_key[bi], "unsound inference at {bi}");
             }
         }
+    }
+
+    /// Every input the probe miter returns for bit `i` is a genuine
+    /// sensitizing pattern: with the other key bits taken from the model,
+    /// flipping bit `i` from 0 to 1 changes some output under simulation.
+    #[test]
+    fn probe_inputs_sensitize_their_bit_under_simulation() {
+        let original = samples::ripple_adder(6);
+        let locked = locking::weighted::lock(
+            &original,
+            &locking::weighted::WllConfig {
+                key_bits: 6,
+                control_width: 3,
+                seed: 5,
+            },
+        )
+        .unwrap();
+        let sim = gatesim::CombSim::new(&locked.circuit).unwrap();
+        let mut oracle = CombOracle::from_locked(&locked).unwrap();
+        let mut session =
+            SensitizationSession::new(&locked, &mut oracle, &SensitizationConfig::default());
+        let enc = session.template_enc.clone();
+        let eval = |x: &[bool], key: &[bool]| {
+            let input: Vec<bool> = sim
+                .inputs()
+                .iter()
+                .map(|n| match enc.data_inputs().iter().position(|d| d == n) {
+                    Some(j) => x[j],
+                    None => key[locked.key_inputs.iter().position(|k| k == n).unwrap()],
+                })
+                .collect();
+            sim.eval_bools(&input)
+        };
+        let mut checked = 0;
+        for bit in 0..session.nk {
+            session.bit = bit;
+            let mut probe = session.build_probe();
+            for _ in 0..4 {
+                if probe.miter.solve() != SolveResult::Sat {
+                    break;
+                }
+                let value = |v: cdcl::Var| probe.miter.value(v).unwrap_or(false);
+                let x: Vec<bool> = enc.data_vars().iter().map(|&v| value(v)).collect();
+                let mut key: Vec<bool> = enc.key_vars(0).iter().map(|&v| value(v)).collect();
+                assert!(!key[bit], "copy 0 holds bit {bit} at 0");
+                let low = eval(&x, &key);
+                key[bit] = true;
+                assert_ne!(low, eval(&x, &key), "bit {bit}: {x:?} does not sensitize");
+                checked += 1;
+                let block: Vec<Lit> = enc
+                    .data_vars()
+                    .iter()
+                    .zip(&x)
+                    .map(|(&v, &b)| v.lit(!b))
+                    .collect();
+                probe.miter.add_clause(&block);
+            }
+        }
+        assert!(checked > 0, "some bit must be sensitizable");
     }
 }

@@ -3,6 +3,7 @@
 //! sequence must not depend on how many worker threads evaluate the oracle
 //! (the `ORAP_THREADS` knob exercised here through explicit pools).
 
+use attacks::engine::{self, AttackCtl};
 use attacks::{sat, AttackOutcome, CombOracle, Oracle};
 use exec::Pool;
 use gatesim::CombSim;
@@ -118,7 +119,8 @@ fn run_with_oracle<O: Oracle>(locked: &LockedCircuit, inner: O) -> (AttackOutcom
         inner,
         log: Vec::new(),
     };
-    let out = sat::attack(locked, &mut oracle, &sat::SatAttackConfig::default());
+    let attack = sat::SatEngine::default();
+    let out = engine::run(&attack, locked, &mut oracle, &mut AttackCtl::new());
     (out, oracle.log)
 }
 
@@ -185,7 +187,8 @@ fn hill_climb_trajectory_invariant_across_thread_counts_at_1e5_gates() {
             inner: PooledOracle::new(&locked, threads),
             log: Vec::new(),
         };
-        let out = hill_climbing::attack(&locked, &mut oracle, &config);
+        let engine = hill_climbing::HillClimbEngine { config };
+        let out = engine::run(&engine, &locked, &mut oracle, &mut AttackCtl::new());
         runs.push((threads, out, oracle.log));
     }
     let (_, out1, log1) = &runs[0];

@@ -24,7 +24,8 @@
 
 use std::time::Instant;
 
-use attacks::hill_climbing::{attack_with_responses, HillClimbConfig};
+use attacks::engine::{drive, AttackCtl};
+use attacks::hill_climbing::{HillClimbConfig, HillClimbSession};
 use exec::Pool;
 use gatesim::CombSim;
 use locking::weighted::WllConfig;
@@ -175,11 +176,16 @@ fn main() {
         let (patterns, responses) = oracle_responses(&locked, HILL_PATTERNS, 0xBEEF ^ id as u64);
 
         // Workload 1: hill-climb rescoring (median over samples).
+        let hill = || {
+            let mut session =
+                HillClimbSession::with_responses(&locked, &patterns, &responses, &hill_config, 0);
+            drive(&mut session, &mut AttackCtl::new())
+        };
         let mut hill_walls = Vec::with_capacity(samples);
-        let mut hill_out = attack_with_responses(&locked, &patterns, &responses, &hill_config, 0);
+        let mut hill_out = hill();
         for _ in 0..samples {
             let t = Instant::now();
-            hill_out = attack_with_responses(&locked, &patterns, &responses, &hill_config, 0);
+            hill_out = hill();
             hill_walls.push(t.elapsed().as_nanos());
         }
         let hill_wall_ns = median(hill_walls) as u64;

@@ -20,7 +20,9 @@
 
 use std::time::Instant;
 
-use attacks::{sat, AttackOutcome, CombOracle};
+use attacks::engine::{run, AttackCtl};
+use attacks::sat::SatEngine;
+use attacks::{AttackOutcome, CombOracle};
 use exec::Pool;
 use locking::weighted::WllConfig;
 use locking::LockedCircuit;
@@ -46,7 +48,8 @@ fn lock_for(id: BenchmarkId, scale: f64) -> LockedCircuit {
 
 fn run_attack(locked: &LockedCircuit) -> AttackOutcome {
     let mut oracle = CombOracle::from_locked(locked).expect("acyclic oracle");
-    sat::attack(locked, &mut oracle, &sat::SatAttackConfig::default())
+    let sat = SatEngine::default();
+    run(&sat, locked, &mut oracle, &mut AttackCtl::new())
 }
 
 fn median(mut xs: Vec<u128>) -> u128 {

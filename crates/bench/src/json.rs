@@ -290,12 +290,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a JSON document (used by the round-trip tests; the harness itself
-/// only writes).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on hostile input (a
+/// frame of nested `[` would otherwise overflow the reading thread's stack).
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document nested at most [`MAX_DEPTH`] levels deep.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -309,6 +314,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -353,12 +360,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -697,6 +719,15 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("truthy").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -224,47 +224,19 @@ pub fn attack(args: &[String]) -> Result<(), CliError> {
             }
             return Ok(());
         }
+        // Against a netlist file an unrolled scan session is just a
+        // combinational lock, so the activated-chip oracle also stands in
+        // for DynUnlock's scan interface.
         name => {
+            let engine =
+                attacks::engine::by_name(name).ok_or_else(|| format!("unknown attack `{name}`"))?;
             let mut oracle = attacks::CombOracle::from_locked(&locked)?;
-            match name {
-                "sat" => attacks::sat::attack(
-                    &locked,
-                    &mut oracle,
-                    &attacks::sat::SatAttackConfig::default(),
-                ),
-                "appsat" => attacks::appsat::attack(
-                    &locked,
-                    &mut oracle,
-                    &attacks::appsat::AppSatConfig::default(),
-                ),
-                "double-dip" => attacks::double_dip::attack(
-                    &locked,
-                    &mut oracle,
-                    &attacks::double_dip::DoubleDipConfig::default(),
-                ),
-                "hill-climb" => attacks::hill_climbing::attack(
-                    &locked,
-                    &mut oracle,
-                    &attacks::hill_climbing::HillClimbConfig::default(),
-                ),
-                "sensitize" => {
-                    attacks::sensitization::attack(
-                        &locked,
-                        &mut oracle,
-                        &attacks::sensitization::SensitizationConfig::default(),
-                    )
-                    .outcome
-                }
-                // Against a netlist file the unrolled session is just a
-                // combinational lock, so the activated-chip oracle stands in
-                // for the scan interface.
-                "dyn-unlock" => attacks::dyn_unlock::attack(
-                    &locked,
-                    &mut oracle,
-                    &attacks::dyn_unlock::DynUnlockConfig::default(),
-                ),
-                other => return Err(format!("unknown attack `{other}`").into()),
-            }
+            attacks::engine::run(
+                engine.as_ref(),
+                &locked,
+                &mut oracle,
+                &mut attacks::engine::AttackCtl::new(),
+            )
         }
     };
     match &outcome.key {

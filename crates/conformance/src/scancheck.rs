@@ -141,11 +141,8 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
     {
         let mut oracle = CombOracle::from_locked(&kg_locked)
             .map_err(|e| format!("kgate oracle: {e}"))?;
-        let out = attacks::sat::attack(
-            &kg_locked,
-            &mut oracle,
-            &attacks::sat::SatAttackConfig::default(),
-        );
+        let sat = attacks::sat::SatEngine::default();
+        let out = engine::run(&sat, &kg_locked, &mut oracle, &mut AttackCtl::new());
         let key = out.key.ok_or_else(|| {
             format!("kgate attack loop: SAT attack failed ({:?})", out.failure)
         })?;

@@ -127,7 +127,9 @@ impl<T> ArtifactCache<T> {
         drop(guard);
 
         let started = Instant::now();
+        let unwinding = ClearOnUnwind { cache: self, key };
         let outcome = build();
+        std::mem::forget(unwinding);
         let build_ns = started.elapsed().as_nanos() as u64;
 
         let mut guard = self.inner.lock().expect("cache lock");
@@ -220,6 +222,30 @@ impl<T> ArtifactCache<T> {
     }
 }
 
+/// Armed across a builder call: if the builder panics, unwinding drops
+/// this, which clears the `Building` slot, counts a build error and wakes
+/// the waiters, so they retry instead of blocking forever. A builder that
+/// returns is disarmed with `mem::forget`.
+struct ClearOnUnwind<'c, T> {
+    cache: &'c ArtifactCache<T>,
+    key: &'c str,
+}
+
+impl<T> Drop for ClearOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        // The builder ran without the lock held, so the panic cannot have
+        // poisoned it; recover anyway rather than panic while unwinding.
+        let mut guard = self
+            .cache
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        guard.map.remove(self.key);
+        guard.stats.build_errors += 1;
+        self.cache.built.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +304,55 @@ mod tests {
         assert_eq!(*cache.get_or_build("k", || Ok(5)).unwrap(), 5);
         let s = cache.stats();
         assert_eq!((s.builds, s.build_errors), (2, 1));
+    }
+
+    #[test]
+    fn panicking_build_releases_waiters() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+
+        let cache: Arc<ArtifactCache<u32>> = Arc::new(ArtifactCache::new(0));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let builder = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    cache.get_or_build("k", || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        panic!("builder panics");
+                    })
+                }))
+                .is_err()
+            })
+        };
+        started_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || done_tx.send(cache.get_or_build("k", || Ok(9))).unwrap())
+        };
+        while cache.stats().coalesced == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release_tx.send(()).unwrap();
+        assert!(builder.join().unwrap(), "the panic reaches its caller");
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the waiter must not hang on a panicked build");
+        assert_eq!(*got.unwrap(), 9, "the waiter retries as the builder");
+        waiter.join().unwrap();
+        let s = cache.stats();
+        assert_eq!((s.builds, s.coalesced, s.build_errors), (2, 1, 1));
+
+        // A panicked build leaves nothing behind: the next lookup builds.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_build("j", || panic!("builder panics"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(*cache.get_or_build("j", || Ok(4)).unwrap(), 4);
+        assert_eq!(cache.stats().builds, 4);
     }
 
     #[test]

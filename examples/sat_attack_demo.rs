@@ -4,7 +4,11 @@
 //!
 //! Run with: `cargo run --release --example sat_attack_demo`
 
-use attacks::{appsat, hill_climbing, sat, CombOracle, Oracle};
+use attacks::appsat::AppSatEngine;
+use attacks::engine::{run, AttackCtl};
+use attacks::hill_climbing::HillClimbEngine;
+use attacks::sat::{SatAttackConfig, SatEngine};
+use attacks::{CombOracle, Oracle};
 use locking::weighted::WllConfig;
 use orap::chip::{OracleMode, ProtectedChip, ProtectedChipOracle};
 use orap::{protect, OrapConfig};
@@ -21,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let locked = locking::weighted::lock(&design, &wll)?;
     let mut oracle = CombOracle::from_locked(&locked)?;
-    let out = sat::attack(&locked, &mut oracle, &sat::SatAttackConfig::default());
+    let sat = SatEngine::default();
+    let out = run(&sat, &locked, &mut oracle, &mut AttackCtl::new());
     match &out.key {
         Some(key) => {
             let ok = attacks::key_is_functionally_correct(&locked, key, 4096)?;
@@ -36,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Hill climbing also works against the open oracle.
     let mut oracle = CombOracle::from_locked(&locked)?;
-    let hc = hill_climbing::attack(&locked, &mut oracle, &hill_climbing::HillClimbConfig::default());
+    let hill = HillClimbEngine::default();
+    let hc = run(&hill, &locked, &mut oracle, &mut AttackCtl::new());
     println!(
         "hill climbing vs WLL + open scan: success = {}",
         hc.succeeded()
@@ -51,14 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     let mut oracle = CombOracle::from_locked(&sar)?;
-    let capped = sat::attack(
-        &sar,
-        &mut oracle,
-        &sat::SatAttackConfig {
+    let capped_sat = SatEngine {
+        config: SatAttackConfig {
             max_iterations: 128,
             conflict_budget: None,
         },
-    );
+    };
+    let capped = run(&capped_sat, &sar, &mut oracle, &mut AttackCtl::new());
     println!(
         "SAT attack vs SARLock (128-DIP cap): {:?} after {} DIPs — \
          needs ~2^12 distinguishing inputs",
@@ -77,7 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // AppSAT strips compound schemes down to their point function:
     let mut oracle = CombOracle::from_locked(&sar)?;
-    let app = appsat::attack(&sar, &mut oracle, &appsat::AppSatConfig::default());
+    let appsat = AppSatEngine::default();
+    let app = run(&appsat, &sar, &mut oracle, &mut AttackCtl::new());
     println!(
         "AppSAT vs SARLock: returned {} after {} iterations",
         if app.succeeded() { "an approximate key" } else { "nothing" },
@@ -92,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A knowledgeable attacker (strict mode): no oracle, attack dies at the
     // first query.
     let mut strict = ProtectedChipOracle::new(chip.clone(), OracleMode::Strict);
-    let out = sat::attack(&protected.locked, &mut strict, &sat::SatAttackConfig::default());
+    let out = run(&sat, &protected.locked, &mut strict, &mut AttackCtl::new());
     println!(
         "SAT attack vs OraP chip (strict): {:?} after {} iteration(s)",
         out.failure, out.iterations
@@ -101,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A naive attacker consumes the locked responses — and recovers a key
     // that does not unlock anything.
     let mut naive = ProtectedChipOracle::new(chip, OracleMode::Naive);
-    let out = sat::attack(&protected.locked, &mut naive, &sat::SatAttackConfig::default());
+    let out = run(&sat, &protected.locked, &mut naive, &mut AttackCtl::new());
     match &out.key {
         Some(key) => {
             let ok = attacks::key_is_functionally_correct(&protected.locked, key, 4096)?;

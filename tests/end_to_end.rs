@@ -1,6 +1,10 @@
 //! Cross-crate integration tests: the full designer → fab → attacker story.
 
-use attacks::{sat, CombOracle, FailureReason, Oracle};
+use attacks::engine::{run, AttackCtl};
+use attacks::hill_climbing::HillClimbEngine;
+use attacks::sat::SatEngine;
+use attacks::sensitization::SensitizationEngine;
+use attacks::{CombOracle, FailureReason, Oracle};
 use gatesim::equiv;
 use locking::weighted::WllConfig;
 use netlist::generate::{self, BenchmarkId};
@@ -58,8 +62,9 @@ fn attack_matrix_open_vs_orap() {
     // Open oracle: SAT attack succeeds. The sampled check is a cheap
     // pre-filter; the SAT miter then proves exact equivalence on every
     // input, which the SAT attack guarantees on termination.
+    let sat = SatEngine::default();
     let mut open = CombOracle::from_locked(locked).expect("oracle");
-    let out = sat::attack(locked, &mut open, &sat::SatAttackConfig::default());
+    let out = run(&sat, locked, &mut open, &mut AttackCtl::new());
     let key = out.key.expect("open scan falls to the SAT attack");
     assert!(attacks::key_is_functionally_correct(locked, &key, 2048).expect("simulable"));
     assert_eq!(
@@ -71,7 +76,7 @@ fn attack_matrix_open_vs_orap() {
     // OraP chip, strict adapter: attack fails at the first query.
     let chip = ProtectedChip::new(&protected).expect("chip");
     let mut strict = ProtectedChipOracle::new(chip.clone(), OracleMode::Strict);
-    let out = sat::attack(locked, &mut strict, &sat::SatAttackConfig::default());
+    let out = run(&sat, locked, &mut strict, &mut AttackCtl::new());
     assert_eq!(out.failure, Some(FailureReason::OracleUnavailable));
 
     // OraP chip, naive adapter: whatever key comes out is functionally
@@ -79,7 +84,7 @@ fn attack_matrix_open_vs_orap() {
     // miter must produce a concrete distinguishing input, and the sampled
     // pre-filter must agree with the exact verdict.
     let mut naive = ProtectedChipOracle::new(chip, OracleMode::Naive);
-    let out = sat::attack(locked, &mut naive, &sat::SatAttackConfig::default());
+    let out = run(&sat, locked, &mut naive, &mut AttackCtl::new());
     if let Some(key) = out.key {
         assert!(
             !attacks::key_is_functionally_correct(locked, &key, 2048).expect("simulable"),
@@ -100,20 +105,22 @@ fn secondary_attacks_denied_by_orap() {
     let chip = ProtectedChip::new(&protected).expect("chip");
 
     let mut oracle = ProtectedChipOracle::new(chip.clone(), OracleMode::Strict);
-    let hc = attacks::hill_climbing::attack(
+    let hc = run(
+        &HillClimbEngine::default(),
         &protected.locked,
         &mut oracle,
-        &attacks::hill_climbing::HillClimbConfig::default(),
+        &mut AttackCtl::new(),
     );
     assert_eq!(hc.failure, Some(FailureReason::OracleUnavailable));
 
     let mut oracle = ProtectedChipOracle::new(chip, OracleMode::Strict);
-    let sens = attacks::sensitization::attack(
+    let sens = run(
+        &SensitizationEngine::default(),
         &protected.locked,
         &mut oracle,
-        &attacks::sensitization::SensitizationConfig::default(),
+        &mut AttackCtl::new(),
     );
-    assert_eq!(sens.outcome.failure, Some(FailureReason::OracleUnavailable));
+    assert_eq!(sens.failure, Some(FailureReason::OracleUnavailable));
 }
 
 /// The locked netlist round-trips through the `.bench` format with its

@@ -1,77 +1,45 @@
-//! Cross-checks between the SAT solver, the CNF encoder and the simulators:
-//! the encoded circuit and the bit-parallel simulator must agree under every
-//! mixed usage pattern the attacks rely on.
+//! Cross-checks between the SAT solver, the AIG-reduced CNF encoder and the
+//! simulators: the encoded circuit and the bit-parallel simulator must agree
+//! under every mixed usage pattern the attacks rely on.
 
-use attacks::cnf::{add_io_constraint, bind_fresh, encode};
-use cdcl::{SolveResult, Solver};
-use gatesim::CombSim;
+use attacks::aigcnf::ReducedEncoder;
+use attacks::{CombOracle, Oracle};
+use cdcl::{Lit, SolveResult, Solver};
+use locking::random::RllConfig;
+use locking::LockedCircuit;
 use netlist::rng::SplitMix64;
 
-/// The miter of a circuit against itself must be UNSAT (no input
-/// distinguishes a circuit from itself).
-#[test]
-fn self_miter_is_unsat() {
-    let c = netlist::generate::random_comb(51, 8, 5, 120).expect("generate");
-    let cc = netlist::CompiledCircuit::compile(&c).expect("compile");
-    let mut solver = Solver::new();
-    let (bind, _) = bind_fresh(&mut solver, &c.comb_inputs());
-    let lits1 = encode(&mut solver, &cc, &bind);
-    let lits2 = encode(&mut solver, &cc, &bind);
-    let diffs: Vec<cdcl::Lit> = c
-        .comb_outputs()
-        .iter()
-        .map(|o| attacks::cnf::encode_xor(&mut solver, lits1[o.index()], lits2[o.index()]))
-        .collect();
-    solver.add_clause(&diffs);
-    assert_eq!(solver.solve(), SolveResult::Unsat);
+fn rll(seed: u64, inputs: usize, outputs: usize, gates: usize, key_bits: usize) -> LockedCircuit {
+    let c = netlist::generate::random_comb(seed, inputs, outputs, gates).expect("generate");
+    locking::random::lock(&c, &RllConfig { key_bits, seed }).expect("lock")
 }
 
-/// A miter between a circuit and a mutated copy must be SAT, and the model
-/// must be a genuine distinguishing input per simulation.
-#[test]
-fn mutation_miter_finds_real_counterexample() {
-    let a = netlist::generate::random_comb(52, 8, 5, 120).expect("generate");
-    // Mutate: flip one gate kind.
-    let mut b = a.clone();
-    let victim = b
-        .net_ids()
-        .find(|&id| {
-            b.gate(id)
-                .map(|g| g.kind == netlist::GateKind::And)
-                .unwrap_or(false)
-        })
-        .expect("an AND gate exists");
-    let fanin = b.gate(victim).expect("gate").fanin.clone();
-    b.set_driver(
-        victim,
-        netlist::Gate::new(netlist::GateKind::Or, fanin).expect("arity"),
-    )
-    .expect("set driver");
+/// The locked circuit's response to data input `x` under `key`.
+fn respond(locked: &LockedCircuit, key: &[bool], x: &[bool]) -> Vec<bool> {
+    let keyed = LockedCircuit {
+        correct_key: key.to_vec(),
+        ..locked.clone()
+    };
+    let mut oracle = CombOracle::from_locked(&keyed).expect("acyclic");
+    oracle
+        .query(x)
+        .expect("combinational oracles always answer")
+}
 
-    let ca = netlist::CompiledCircuit::compile(&a).expect("compile");
-    let cb = netlist::CompiledCircuit::compile(&b).expect("compile");
+/// The miter of a circuit against itself must be UNSAT: with every key bit
+/// of the two copies tied together, no input distinguishes them.
+#[test]
+fn self_miter_is_unsat() {
+    let locked = rll(51, 8, 5, 120, 8);
     let mut solver = Solver::new();
-    let (bind, vars) = bind_fresh(&mut solver, &a.comb_inputs());
-    let la = encode(&mut solver, &ca, &bind);
-    let lb = encode(&mut solver, &cb, &bind);
-    let diffs: Vec<cdcl::Lit> = a
-        .comb_outputs()
-        .iter()
-        .map(|o| attacks::cnf::encode_xor(&mut solver, la[o.index()], lb[o.index()]))
-        .collect();
-    solver.add_clause(&diffs);
-    assert_eq!(solver.solve(), SolveResult::Sat);
-    let input: Vec<bool> = vars
-        .iter()
-        .map(|&v| solver.value(v).unwrap_or(false))
-        .collect();
-    let sa = CombSim::new(&a).expect("sim");
-    let sb = CombSim::new(&b).expect("sim");
-    assert_ne!(
-        sa.eval_bools(&input),
-        sb.eval_bools(&input),
-        "solver model must be a genuine counterexample"
-    );
+    let mut enc = ReducedEncoder::new(&locked, &mut solver, 2);
+    for j in 0..locked.key_inputs.len() {
+        let (k0, k1) = (enc.key_vars(0)[j], enc.key_vars(1)[j]);
+        solver.add_clause(&[k0.negative(), k1.positive()]);
+        solver.add_clause(&[k0.positive(), k1.negative()]);
+    }
+    enc.assert_miter(&mut solver, 0, 1, None);
+    assert_eq!(solver.solve(), SolveResult::Unsat);
 }
 
 /// Accumulating I/O constraints narrows the key space down to functionally
@@ -89,30 +57,19 @@ fn full_truth_table_constraints_force_correct_keys() {
         },
     )
     .expect("lock");
-    let data: Vec<netlist::NetId> = locked
-        .circuit
-        .comb_inputs()
-        .into_iter()
-        .filter(|n| !locked.key_inputs.contains(n))
-        .collect();
-    let orig_sim = CombSim::new(&original).expect("sim");
-    let locked_cc = netlist::CompiledCircuit::compile(&locked.circuit).expect("compile");
+    let orig_sim = gatesim::CombSim::new(&original).expect("sim");
     let mut solver = Solver::new();
-    let (kbind, kvars) = bind_fresh(&mut solver, &locked.key_inputs);
+    let mut enc = ReducedEncoder::new(&locked, &mut solver, 1);
     for m in 0..64u32 {
         let x: Vec<bool> = (0..6).map(|k| (m >> k) & 1 == 1).collect();
         let y = orig_sim.eval_bools(&x);
-        add_io_constraint(
-            &mut solver,
-            &locked_cc,
-            &data,
-            &kbind,
-            &x,
-            &y,
-            &locked.circuit.comb_outputs(),
+        assert!(
+            enc.add_io_constraint(&mut solver, 0, &x, &y),
+            "the oracle is consistent"
         );
     }
     // Enumerate a few models; each must be a working key.
+    let kvars = enc.key_vars(0).to_vec();
     let mut found = 0;
     while solver.solve() == SolveResult::Sat && found < 4 {
         let key: Vec<bool> = kvars
@@ -125,11 +82,7 @@ fn full_truth_table_constraints_force_correct_keys() {
         );
         found += 1;
         // Block this key to find another.
-        let block: Vec<cdcl::Lit> = kvars
-            .iter()
-            .zip(&key)
-            .map(|(&v, &b)| v.lit(!b))
-            .collect();
+        let block: Vec<Lit> = kvars.iter().zip(&key).map(|(&v, &b)| v.lit(!b)).collect();
         if !solver.add_clause(&block) {
             break;
         }
@@ -137,31 +90,44 @@ fn full_truth_table_constraints_force_correct_keys() {
     assert!(found >= 1, "at least the correct key must satisfy");
 }
 
-/// Incremental solving across many small queries stays consistent with
-/// from-scratch solving (the usage pattern of the sensitization attack).
+/// Incremental assumption queries over the key variables stay consistent
+/// with simulation (the usage pattern of the sensitization attack's
+/// inference pass): a key is SAT under the accumulated observations exactly
+/// when it reproduces every one of them.
 #[test]
 fn incremental_assumption_queries_are_consistent() {
-    let c = netlist::generate::random_comb(53, 8, 4, 100).expect("generate");
-    let cc = netlist::CompiledCircuit::compile(&c).expect("compile");
+    let locked = rll(53, 8, 4, 100, 6);
+    let nk = locked.key_inputs.len();
     let mut solver = Solver::new();
-    let (bind, vars) = bind_fresh(&mut solver, &c.comb_inputs());
-    let lits = encode(&mut solver, &cc, &bind);
-    let out0 = lits[c.comb_outputs()[0].index()];
-    let sim = CombSim::new(&c).expect("sim");
+    let mut enc = ReducedEncoder::new(&locked, &mut solver, 1);
     let mut rng = SplitMix64::new(4);
-    for _ in 0..24 {
-        let input: Vec<bool> = (0..8).map(|_| rng.bool()).collect();
-        let expect = sim.eval_bools(&input)[0];
-        let mut assumptions: Vec<cdcl::Lit> = vars
+    let observations: Vec<(Vec<bool>, Vec<bool>)> = (0..6)
+        .map(|_| {
+            let x: Vec<bool> = (0..8).map(|_| rng.bool()).collect();
+            let y = respond(&locked, &locked.correct_key, &x);
+            (x, y)
+        })
+        .collect();
+    for (x, y) in &observations {
+        assert!(enc.add_io_constraint(&mut solver, 0, x, y));
+    }
+    let mut keys = vec![locked.correct_key.clone()];
+    keys.extend((0..24).map(|_| (0..nk).map(|_| rng.bool()).collect::<Vec<bool>>()));
+    for key in &keys {
+        let consistent = observations
             .iter()
-            .zip(&input)
+            .all(|(x, y)| respond(&locked, key, x) == *y);
+        let assumptions: Vec<Lit> = enc
+            .key_vars(0)
+            .iter()
+            .zip(key)
             .map(|(&v, &b)| v.lit(b))
             .collect();
-        // Asking for the observed value must be SAT…
-        assumptions.push(if expect { out0 } else { !out0 });
-        assert_eq!(solver.solve_with(&assumptions), SolveResult::Sat);
-        // …and for the complement UNSAT.
-        *assumptions.last_mut().expect("non-empty") = if expect { !out0 } else { out0 };
-        assert_eq!(solver.solve_with(&assumptions), SolveResult::Unsat);
+        let want = if consistent {
+            SolveResult::Sat
+        } else {
+            SolveResult::Unsat
+        };
+        assert_eq!(solver.solve_with(&assumptions), want, "key {key:?}");
     }
 }

@@ -2,9 +2,6 @@
 //! test: each Trojan succeeds against the baseline strawman and is defeated
 //! (priced out, detected, or functionally broken) by the hardened design
 //! guidelines and the modified scheme.
-//!
-//! This is the test-suite twin of `examples/trojan_scenarios.rs`, which
-//! prints the same story as a narrated table.
 
 use orap::chip::{OracleMode, ProtectedChip, ProtectedChipOracle};
 use orap::threat::{
@@ -179,19 +176,22 @@ fn scenario_e_one_shot_query_defeated_by_modified_scheme() {
 /// attack on the same netlist.
 #[test]
 fn dynamic_scan_obfuscation_falls_to_dyn_unlock_unless_the_oracle_dies() {
-    use attacks::dyn_unlock::{self, DynUnlockConfig, ScanSessionOracle};
+    use attacks::dyn_unlock::{DynUnlockConfig, DynUnlockEngine, ScanSessionOracle};
+    use attacks::engine::{run, AttackCtl};
     use locking::scan_obfuscation::{self, ScanObfConfig, UnrollOptions};
 
     let design = netlist::samples::counter(8);
     let locked = scan_obfuscation::lock(&design, &ScanObfConfig::balanced(8, 3))
         .expect("lockable");
     let unrolled = locked.unroll(&UnrollOptions::default()).expect("acyclic");
-    let config = DynUnlockConfig::for_session(&unrolled);
+    let engine = DynUnlockEngine {
+        config: DynUnlockConfig::for_session(&unrolled),
+    };
 
     // Open scan interface: the chip answers every bounded session, and the
     // seed falls out of the SAT loop.
     let mut open = ScanSessionOracle::new(&locked, &unrolled).expect("chip oracle");
-    let out = dyn_unlock::attack(&unrolled.locked, &mut open, &config);
+    let out = run(&engine, &unrolled.locked, &mut open, &mut AttackCtl::new());
     let key = out.key.expect("open scan oracle must surrender the seed");
     assert!(
         attacks::verify::key_exact_counterexample(&unrolled.locked, &key).is_none(),
@@ -204,7 +204,7 @@ fn dynamic_scan_obfuscation_falls_to_dyn_unlock_unless_the_oracle_dies() {
         unrolled.load_cycles * unrolled.num_chains + design.primary_inputs().len(),
         unrolled.locked.circuit.primary_outputs().len(),
     );
-    let out = dyn_unlock::attack(&unrolled.locked, &mut dead, &config);
+    let out = run(&engine, &unrolled.locked, &mut dead, &mut AttackCtl::new());
     assert_eq!(out.key, None);
     assert_eq!(out.failure, Some(attacks::FailureReason::OracleUnavailable));
 }
@@ -214,6 +214,8 @@ fn dynamic_scan_obfuscation_falls_to_dyn_unlock_unless_the_oracle_dies() {
 /// class exactly, while the dead oracle starves it.
 #[test]
 fn kgate_falls_to_sat_with_an_open_oracle_and_starves_without_one() {
+    use attacks::engine::{run, AttackCtl};
+    use attacks::sat::SatEngine;
     use locking::kgate::{self, KGateConfig};
 
     let design = netlist::samples::ripple_adder(4);
@@ -221,7 +223,7 @@ fn kgate_falls_to_sat_with_an_open_oracle_and_starves_without_one() {
         .expect("lockable");
 
     let mut open = attacks::CombOracle::from_locked(&locked).expect("valid lock");
-    let out = attacks::sat::attack(&locked, &mut open, &attacks::sat::SatAttackConfig::default());
+    let out = run(&SatEngine::default(), &locked, &mut open, &mut AttackCtl::new());
     let key = out.key.expect("open oracle must surrender a key");
     assert!(
         attacks::verify::key_exact_counterexample(&locked, &key).is_none(),
@@ -232,7 +234,7 @@ fn kgate_falls_to_sat_with_an_open_oracle_and_starves_without_one() {
         design.primary_inputs().len(),
         design.primary_outputs().len(),
     );
-    let out = attacks::sat::attack(&locked, &mut dead, &attacks::sat::SatAttackConfig::default());
+    let out = run(&SatEngine::default(), &locked, &mut dead, &mut AttackCtl::new());
     assert_eq!(out.key, None);
     assert_eq!(out.failure, Some(attacks::FailureReason::OracleUnavailable));
 }
