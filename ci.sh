@@ -26,6 +26,9 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/
 echo "==> cargo clippy -D warnings (offline, scoped allows)"
 cargo clippy --workspace --all-targets --offline -- -D warnings "${CLIPPY_ALLOW[@]}"
 
+echo "==> benchmark clippy -D warnings (offline; its own workspace under benchmark/)"
+CARGO_TARGET_DIR=.bench_build cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc -D warnings (offline, no deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps --quiet
 

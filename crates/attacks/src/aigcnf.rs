@@ -342,25 +342,8 @@ impl ReducedEncoder {
         x: &[bool],
         y: &[bool],
     ) -> bool {
-        self.add_io_constraint_prefix(solver, copy, x, y, y.len())
-    }
-
-    /// Like [`add_io_constraint`](ReducedEncoder::add_io_constraint) but
-    /// asserts only the first `limit` outputs of the response. The session
-    /// attacks use this to learn bounded unrollings frame by frame; the
-    /// dropped-unroll-frame kill-matrix mutant drives it with a short limit
-    /// to prove the conformance loop notices under-constrained learning.
-    pub fn add_io_constraint_prefix(
-        &mut self,
-        solver: &mut Solver,
-        copy: usize,
-        x: &[bool],
-        y: &[bool],
-        limit: usize,
-    ) -> bool {
         assert_eq!(x.len(), self.cnf.data_inputs.len(), "input width mismatch");
         assert_eq!(y.len(), self.cnf.outputs.len(), "output width mismatch");
-        assert!(limit <= y.len(), "prefix limit exceeds output width");
         // A fresh cofactor scope: data inputs become constants, so none of
         // the symbolic caches apply.
         let key_vars = &self.key_vars[copy];
@@ -376,7 +359,7 @@ impl ReducedEncoder {
             sabotage: self.sabotage,
         };
         let mut ok = true;
-        for (j, &root) in self.cnf.aig.outputs().iter().enumerate().take(limit) {
+        for (j, &root) in self.cnf.aig.outputs().iter().enumerate() {
             // Only the demanded polarity of each output cone is emitted.
             // (Fault injection, test-only: complement the response on
             // output 0.)

@@ -8,14 +8,11 @@
 //! an approximate key (which for compound schemes recovers the traditional
 //! part of the key).
 
-use cdcl::SolveResult;
 use locking::LockedCircuit;
 use netlist::rng::SplitMix64;
 
-use crate::engine::{
-    AttackCtl, AttackEngine, AttackSession, Interrupt, Milestone, ProgressEvent, StepStatus,
-};
-use crate::sat::AttackContext;
+use crate::engine::{AttackCtl, AttackEngine, AttackSession, Interrupt, StepStatus};
+use crate::sat::DipLoop;
 use crate::{AttackOutcome, FailureReason, Oracle};
 
 /// AppSAT configuration.
@@ -63,18 +60,15 @@ impl AttackEngine for AppSatEngine {
         locked: &'a LockedCircuit,
         oracle: &'a mut dyn Oracle,
     ) -> Box<dyn AttackSession + 'a> {
-        let ctx = AttackContext::new(locked);
+        let mut dip = DipLoop::new(locked, oracle);
         let config = self.config;
-        let (sim, outcome) = match gatesim::CombSim::new(&locked.circuit) {
-            Ok(s) => (Some(s), None),
-            Err(_) => (
-                None,
-                Some(
-                    AttackOutcome::failed(FailureReason::Inconclusive, 0, 0)
-                        .with_telemetry(ctx.telemetry()),
-                ),
-            ),
-        };
+        let sim = gatesim::CombSim::new(&locked.circuit).ok();
+        if sim.is_none() {
+            dip.finish(
+                AttackOutcome::failed(FailureReason::Inconclusive, 0, 0)
+                    .with_telemetry(dip.ctx.telemetry()),
+            );
+        }
         let (key_pos, data_pos) = match &sim {
             Some(sim) => {
                 let key_pos: Vec<usize> = locked
@@ -95,18 +89,13 @@ impl AttackEngine for AppSatEngine {
             None => (Vec::new(), Vec::new()),
         };
         Box::new(AppSatSession {
-            ctx,
-            oracle,
+            dip,
             config,
             rng: SplitMix64::new(config.seed),
             sim,
             key_pos,
             data_pos,
-            iterations: 0,
-            pending_dip: None,
             settle: None,
-            started: false,
-            outcome,
         })
     }
 }
@@ -127,47 +116,16 @@ struct SettleState {
 /// check falls due it runs inside the same step (interrupting mid-settlement
 /// stashes the settlement state for exact resumption).
 pub struct AppSatSession<'a> {
-    ctx: AttackContext,
-    oracle: &'a mut dyn Oracle,
+    dip: DipLoop<'a>,
     config: AppSatConfig,
     rng: SplitMix64,
     sim: Option<gatesim::CombSim>,
     key_pos: Vec<usize>,
     data_pos: Vec<usize>,
-    iterations: usize,
-    pending_dip: Option<Vec<bool>>,
     settle: Option<SettleState>,
-    started: bool,
-    outcome: Option<AttackOutcome>,
 }
 
 impl AppSatSession<'_> {
-    fn finish(&mut self, outcome: AttackOutcome) -> StepStatus {
-        self.outcome = Some(outcome);
-        StepStatus::Done
-    }
-
-    fn finish_failed(&mut self, reason: FailureReason) -> StepStatus {
-        let out = AttackOutcome::failed(
-            reason,
-            self.iterations,
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry());
-        self.finish(out)
-    }
-
-    fn finish_success(&mut self, key: Vec<bool>) -> StepStatus {
-        let out = AttackOutcome {
-            key: Some(key),
-            failure: None,
-            iterations: self.iterations,
-            oracle_queries: self.oracle.queries_attempted(),
-            telemetry: self.ctx.telemetry(),
-        };
-        self.finish(out)
-    }
-
     /// Runs (or resumes) the settlement check in `self.settle`.
     fn run_settlement(&mut self, ctl: &mut AttackCtl) -> StepStatus {
         let mut st = self.settle.take().expect("settlement state present");
@@ -177,13 +135,13 @@ impl AppSatSession<'_> {
                 Some(x) => x,
                 None => (0..self.data_pos.len()).map(|_| self.rng.bool()).collect(),
             };
-            match ctl.query(self.oracle, &x) {
+            match ctl.query(self.dip.oracle, &x) {
                 Err(why) => {
                     st.pending_x = Some(x);
                     self.settle = Some(st);
                     return StepStatus::Interrupted(why);
                 }
-                Ok(None) => return self.finish_failed(FailureReason::OracleUnavailable),
+                Ok(None) => return self.dip.fail(FailureReason::OracleUnavailable),
                 Ok(Some(y)) => {
                     st.sampled += 1;
                     st.answered += 1;
@@ -200,14 +158,14 @@ impl AppSatSession<'_> {
                         st.mismatches += 1;
                         // Feed the failing sample back as a constraint (the
                         // AppSAT refinement step).
-                        self.ctx.learn(&x, &y);
+                        self.dip.ctx.learn(&x, &y);
                     }
                 }
             }
         }
         let err = st.mismatches as f64 / st.answered.max(1) as f64;
         if err <= self.config.error_threshold {
-            self.finish_success(st.candidate)
+            self.dip.succeed(st.candidate)
         } else {
             StepStatus::Running
         }
@@ -216,68 +174,20 @@ impl AppSatSession<'_> {
 
 impl AttackSession for AppSatSession<'_> {
     fn step(&mut self, ctl: &mut AttackCtl) -> StepStatus {
-        if self.outcome.is_some() {
-            return StepStatus::Done;
+        if let Some(status) = self.dip.begin(ctl, "dip-search") {
+            return status;
         }
-        if let Err(why) = ctl.check() {
-            return StepStatus::Interrupted(why);
-        }
-        if !self.started {
-            self.started = true;
-            ctl.emit_stage("dip-search");
-        }
-        ctl.arm_solver(&mut self.ctx.solver);
         if self.settle.is_some() {
             return self.run_settlement(ctl);
         }
-        let x = match self.pending_dip.take() {
-            Some(x) => x,
-            None => {
-                if self.iterations >= self.config.max_iterations {
-                    return self.finish_failed(FailureReason::IterationLimit);
-                }
-                match self.ctx.solve_miter() {
-                    SolveResult::Unknown => {
-                        return match ctl.solver_interrupt(&self.ctx.solver) {
-                            Some(why) => StepStatus::Interrupted(why),
-                            None => self.finish_failed(FailureReason::SolverBudget),
-                        };
-                    }
-                    SolveResult::Unsat => {
-                        ctl.emit_stage("extract");
-                        let key = self.ctx.extract_key();
-                        return match key {
-                            Some(key) => self.finish_success(key),
-                            None => self.finish_failed(FailureReason::Inconclusive),
-                        };
-                    }
-                    SolveResult::Sat => self.ctx.model_dip(),
-                }
-            }
-        };
-        match ctl.query(self.oracle, &x) {
-            Err(why) => {
-                self.pending_dip = Some(x);
-                return StepStatus::Interrupted(why);
-            }
-            Ok(None) => {
-                self.iterations += 1;
-                return self.finish_failed(FailureReason::OracleUnavailable);
-            }
-            Ok(Some(y)) => {
-                self.iterations += 1;
-                self.ctx.learn(&x, &y);
-                ctl.emit(ProgressEvent::Milestone(Milestone {
-                    stage: "dip-search",
-                    iterations: self.iterations,
-                    dips_eliminated: self.ctx.dips.len(),
-                    clauses_learned: self.ctx.solver.stats().learned_clauses,
-                    oracle_queries: ctl.queries(),
-                }));
-            }
+        let status = self.dip.search(ctl, self.config.max_iterations, "dip-search");
+        if status != StepStatus::Running
+            || !self.dip.iterations.is_multiple_of(self.config.settle_every)
+        {
+            return status;
         }
-        if self.iterations.is_multiple_of(self.config.settle_every) {
-            if let Some(candidate) = self.ctx.extract_key() {
+        match self.dip.ctx.extract_key() {
+            Some(candidate) => {
                 ctl.emit_stage("settle");
                 self.settle = Some(SettleState {
                     candidate,
@@ -286,23 +196,18 @@ impl AttackSession for AppSatSession<'_> {
                     sampled: 0,
                     pending_x: None,
                 });
-                return self.run_settlement(ctl);
+                self.run_settlement(ctl)
             }
+            None => StepStatus::Running,
         }
-        StepStatus::Running
     }
 
     fn outcome(&self) -> Option<&AttackOutcome> {
-        self.outcome.as_ref()
+        self.dip.outcome()
     }
 
     fn interrupted_outcome(&self, why: Interrupt) -> AttackOutcome {
-        AttackOutcome::failed(
-            why.into(),
-            self.iterations,
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry())
+        self.dip.failed(why.into())
     }
 }
 

@@ -19,10 +19,8 @@ use cdcl::{SolveResult, Solver};
 use locking::LockedCircuit;
 
 use crate::aigcnf::{xor_pos, ReducedEncoder};
-use crate::engine::{
-    AttackCtl, AttackEngine, AttackSession, Interrupt, Milestone, ProgressEvent, StepStatus,
-};
-use crate::sat::AttackContext;
+use crate::engine::{AttackCtl, AttackEngine, AttackSession, Interrupt, StepStatus};
+use crate::sat::DipLoop;
 use crate::{AttackOutcome, FailureReason, Oracle};
 
 /// Double-DIP configuration.
@@ -93,16 +91,10 @@ impl AttackEngine for DoubleDipEngine {
         // parallel; after the 2-discriminating phase it continues as the
         // fallback attack and performs key extraction.
         Box::new(DoubleDipSession {
-            ctx: AttackContext::new(locked),
+            dip: DipLoop::new(locked, oracle),
             miter: build_miter(locked),
-            oracle,
             config: self.config,
             in_fallback: false,
-            miter_iterations: 0,
-            fallback_iterations: 0,
-            pending_dip: None,
-            started: false,
-            outcome: None,
         })
     }
 }
@@ -111,69 +103,31 @@ impl AttackEngine for DoubleDipEngine {
 /// plain SAT fallback on the two-copy context that accumulated the same
 /// constraints all along.
 pub struct DoubleDipSession<'a> {
-    ctx: AttackContext,
+    dip: DipLoop<'a>,
     miter: FourCopyMiter,
-    oracle: &'a mut dyn Oracle,
     config: DoubleDipConfig,
     in_fallback: bool,
-    miter_iterations: usize,
-    fallback_iterations: usize,
-    /// A DIP (of the current phase) whose oracle query was interrupted.
-    pending_dip: Option<Vec<bool>>,
-    started: bool,
-    outcome: Option<AttackOutcome>,
 }
 
 impl DoubleDipSession<'_> {
-    fn total_iterations(&self) -> usize {
-        self.miter_iterations + self.fallback_iterations
-    }
-
-    fn finish(&mut self, outcome: AttackOutcome) -> StepStatus {
-        self.outcome = Some(outcome);
-        StepStatus::Done
-    }
-
-    fn finish_failed(&mut self, reason: FailureReason) -> StepStatus {
-        let out = AttackOutcome::failed(
-            reason,
-            self.total_iterations(),
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry());
-        self.finish(out)
-    }
-
-    fn emit_milestone(&self, ctl: &mut AttackCtl, stage: &'static str) {
-        ctl.emit(ProgressEvent::Milestone(Milestone {
-            stage,
-            iterations: self.total_iterations(),
-            dips_eliminated: self.ctx.dips.len(),
-            clauses_learned: self.ctx.solver.stats().learned_clauses,
-            oracle_queries: ctl.queries(),
-        }));
-    }
-
     /// One step of the 2-discriminating phase.
     fn step_miter(&mut self, ctl: &mut AttackCtl) -> StepStatus {
         ctl.arm_solver(&mut self.miter.solver);
-        let x = match self.pending_dip.take() {
+        let x = match self.dip.pending.take() {
             Some(x) => x,
             None => {
-                if self.miter_iterations >= self.config.max_iterations {
-                    return self.finish_failed(FailureReason::IterationLimit);
+                if self.dip.iterations >= self.config.max_iterations {
+                    return self.dip.fail(FailureReason::IterationLimit);
                 }
                 match self.miter.solver.solve() {
                     SolveResult::Unknown => {
-                        return match ctl.solver_interrupt(&self.miter.solver) {
-                            Some(why) => StepStatus::Interrupted(why),
-                            None => self.finish_failed(FailureReason::SolverBudget),
-                        };
+                        return self.dip.stalled(ctl.solver_interrupt(&self.miter.solver));
                     }
                     SolveResult::Unsat => {
                         // No 2-discriminating input remains: switch to the
-                        // plain SAT fallback.
+                        // plain SAT fallback, which counts its own iterations.
                         self.in_fallback = true;
+                        self.dip.prior = std::mem::take(&mut self.dip.iterations);
                         ctl.emit_stage("fallback");
                         return StepStatus::Running;
                     }
@@ -187,114 +141,41 @@ impl DoubleDipSession<'_> {
                 }
             }
         };
-        match ctl.query(self.oracle, &x) {
-            Err(why) => {
-                self.pending_dip = Some(x);
-                StepStatus::Interrupted(why)
-            }
-            Ok(None) => {
-                self.miter_iterations += 1;
-                self.finish_failed(FailureReason::OracleUnavailable)
-            }
-            Ok(Some(y)) => {
-                self.miter_iterations += 1;
+        match self.dip.ask(ctl, x) {
+            Ok((x, y)) => {
                 // Constrain all four key copies plus the fallback context.
                 for copy in 0..4 {
                     self.miter
                         .enc
                         .add_io_constraint(&mut self.miter.solver, copy, &x, &y);
                 }
-                self.ctx.learn(&x, &y);
-                self.emit_milestone(ctl, "2dip-search");
+                self.dip.ctx.learn(&x, &y);
+                self.dip.milestone(ctl, "2dip-search");
                 StepStatus::Running
             }
-        }
-    }
-
-    /// One step of the plain-SAT fallback phase.
-    fn step_fallback(&mut self, ctl: &mut AttackCtl) -> StepStatus {
-        ctl.arm_solver(&mut self.ctx.solver);
-        let x = match self.pending_dip.take() {
-            Some(x) => x,
-            None => {
-                if self.fallback_iterations >= self.config.fallback_iterations {
-                    return self.finish_failed(FailureReason::IterationLimit);
-                }
-                match self.ctx.solve_miter() {
-                    SolveResult::Unknown => {
-                        return match ctl.solver_interrupt(&self.ctx.solver) {
-                            Some(why) => StepStatus::Interrupted(why),
-                            None => self.finish_failed(FailureReason::SolverBudget),
-                        };
-                    }
-                    SolveResult::Unsat => {
-                        ctl.emit_stage("extract");
-                        let key = self.ctx.extract_key();
-                        let telemetry = self.ctx.telemetry();
-                        return match key {
-                            Some(key) => self.finish(AttackOutcome {
-                                key: Some(key),
-                                failure: None,
-                                iterations: self.total_iterations(),
-                                oracle_queries: self.oracle.queries_attempted(),
-                                telemetry,
-                            }),
-                            None => self.finish_failed(FailureReason::Inconclusive),
-                        };
-                    }
-                    SolveResult::Sat => self.ctx.model_dip(),
-                }
-            }
-        };
-        match ctl.query(self.oracle, &x) {
-            Err(why) => {
-                self.pending_dip = Some(x);
-                StepStatus::Interrupted(why)
-            }
-            Ok(None) => {
-                self.fallback_iterations += 1;
-                self.finish_failed(FailureReason::OracleUnavailable)
-            }
-            Ok(Some(y)) => {
-                self.fallback_iterations += 1;
-                self.ctx.learn(&x, &y);
-                self.emit_milestone(ctl, "fallback");
-                StepStatus::Running
-            }
+            Err(status) => status,
         }
     }
 }
 
 impl AttackSession for DoubleDipSession<'_> {
     fn step(&mut self, ctl: &mut AttackCtl) -> StepStatus {
-        if self.outcome.is_some() {
-            return StepStatus::Done;
-        }
-        if let Err(why) = ctl.check() {
-            return StepStatus::Interrupted(why);
-        }
-        if !self.started {
-            self.started = true;
-            ctl.emit_stage("2dip-search");
+        if let Some(status) = self.dip.begin(ctl, "2dip-search") {
+            return status;
         }
         if self.in_fallback {
-            self.step_fallback(ctl)
+            self.dip.search(ctl, self.config.fallback_iterations, "fallback")
         } else {
             self.step_miter(ctl)
         }
     }
 
     fn outcome(&self) -> Option<&AttackOutcome> {
-        self.outcome.as_ref()
+        self.dip.outcome()
     }
 
     fn interrupted_outcome(&self, why: Interrupt) -> AttackOutcome {
-        AttackOutcome::failed(
-            why.into(),
-            self.total_iterations(),
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry())
+        self.dip.failed(why.into())
     }
 }
 

@@ -17,6 +17,11 @@
 //! so assuming it disables the miter and leaves exactly the accumulated I/O
 //! constraints, reusing everything the solver has learned.
 //!
+//! The loop itself is written once here, as the crate-private `DipLoop`:
+//! AppSAT adds its settlement checks on top, Double-DIP runs it as its
+//! fallback phase, and DynUnlock is this module's [`SatSession`] under the
+//! stage name `"session-search"`.
+//!
 //! Against OraP the very first oracle query fails, so the attack terminates
 //! with [`FailureReason::OracleUnavailable`] — the paper's central claim.
 
@@ -105,18 +110,9 @@ impl AttackContext {
     /// Records an oracle response: constrains both miter key copies to
     /// reproduce it.
     pub fn learn(&mut self, x: &[bool], y: &[bool]) {
-        self.learn_prefix(x, y, y.len());
-    }
-
-    /// [`learn`](AttackContext::learn), but asserting only the first
-    /// `limit` response bits (the session attacks' dropped-frame mutant
-    /// drives this with a short limit).
-    pub fn learn_prefix(&mut self, x: &[bool], y: &[bool], limit: usize) {
         let before = self.solver.num_clauses();
-        self.enc
-            .add_io_constraint_prefix(&mut self.solver, 0, x, y, limit);
-        self.enc
-            .add_io_constraint_prefix(&mut self.solver, 1, x, y, limit);
+        self.enc.add_io_constraint(&mut self.solver, 0, x, y);
+        self.enc.add_io_constraint(&mut self.solver, 1, x, y);
         let stats = self.solver.stats();
         self.dips.push(DipTelemetry {
             clauses_added: self.solver.num_clauses().saturating_sub(before),
@@ -155,6 +151,176 @@ impl AttackContext {
     }
 }
 
+/// The distinguishing-input loop every SAT-family session steps through
+/// (SAT, AppSAT, Double-DIP's fallback phase, DynUnlock): the step prelude,
+/// the interrupted-DIP stash, the iteration limit, the miter solve with
+/// extraction on UNSAT, the oracle query, and the outcome bookkeeping.
+pub(crate) struct DipLoop<'a> {
+    pub ctx: AttackContext,
+    pub oracle: &'a mut dyn Oracle,
+    /// Iterations spent in an earlier phase (Double-DIP's 2-discriminating
+    /// phase); reported iterations are `prior + iterations`.
+    pub prior: usize,
+    /// Oracle queries on distinguishing inputs in the current phase.
+    pub iterations: usize,
+    /// A DIP whose oracle query was interrupted; resumed before any new
+    /// miter solve so the interrupted trajectory stays bit-identical.
+    pub pending: Option<Vec<bool>>,
+    started: bool,
+    outcome: Option<AttackOutcome>,
+}
+
+impl<'a> DipLoop<'a> {
+    pub fn new(locked: &LockedCircuit, oracle: &'a mut dyn Oracle) -> Self {
+        DipLoop {
+            ctx: AttackContext::new(locked),
+            oracle,
+            prior: 0,
+            iterations: 0,
+            pending: None,
+            started: false,
+            outcome: None,
+        }
+    }
+
+    /// The step prelude: a finished session stays done, a pending interrupt
+    /// stops the step, and the first step announces `stage`. `Some` is the
+    /// status the step returns without doing any work.
+    pub fn begin(&mut self, ctl: &mut AttackCtl, stage: &'static str) -> Option<StepStatus> {
+        if self.outcome.is_some() {
+            return Some(StepStatus::Done);
+        }
+        if let Err(why) = ctl.check() {
+            return Some(StepStatus::Interrupted(why));
+        }
+        if !self.started {
+            self.started = true;
+            ctl.emit_stage(stage);
+        }
+        None
+    }
+
+    /// One DIP on the two-copy miter: resumes the stashed DIP or solves for
+    /// a new one (at most `max_iterations` in this phase), queries the
+    /// oracle and learns the response. `Running` means one DIP was learned;
+    /// an UNSAT miter extracts the key under stage `"extract"`.
+    pub fn search(
+        &mut self,
+        ctl: &mut AttackCtl,
+        max_iterations: usize,
+        stage: &'static str,
+    ) -> StepStatus {
+        ctl.arm_solver(&mut self.ctx.solver);
+        let x = match self.pending.take() {
+            Some(x) => x,
+            None => {
+                if self.iterations >= max_iterations {
+                    return self.fail(FailureReason::IterationLimit);
+                }
+                match self.ctx.solve_miter() {
+                    SolveResult::Unknown => {
+                        return self.stalled(ctl.solver_interrupt(&self.ctx.solver));
+                    }
+                    SolveResult::Unsat => {
+                        ctl.emit_stage("extract");
+                        return match self.ctx.extract_key() {
+                            Some(key) => self.succeed(key),
+                            None => self.fail(FailureReason::Inconclusive),
+                        };
+                    }
+                    SolveResult::Sat => self.ctx.model_dip(),
+                }
+            }
+        };
+        match self.ask(ctl, x) {
+            Ok((x, y)) => {
+                self.ctx.learn(&x, &y);
+                self.milestone(ctl, stage);
+                StepStatus::Running
+            }
+            Err(status) => status,
+        }
+    }
+
+    /// Queries the oracle on DIP `x`, counting it as one iteration once the
+    /// oracle was consulted. An interrupt stashes `x` for the next step; a
+    /// refused query ends the attack.
+    pub fn ask(
+        &mut self,
+        ctl: &mut AttackCtl,
+        x: Vec<bool>,
+    ) -> Result<(Vec<bool>, Vec<bool>), StepStatus> {
+        match ctl.query(self.oracle, &x) {
+            Err(why) => {
+                self.pending = Some(x);
+                Err(StepStatus::Interrupted(why))
+            }
+            Ok(None) => {
+                self.iterations += 1;
+                Err(self.fail(FailureReason::OracleUnavailable))
+            }
+            Ok(Some(y)) => {
+                self.iterations += 1;
+                Ok((x, y))
+            }
+        }
+    }
+
+    /// A solve returned `Unknown`: the control block's interrupt when it
+    /// stopped the solve, otherwise the conflict budget ran out.
+    pub fn stalled(&mut self, why: Option<Interrupt>) -> StepStatus {
+        match why {
+            Some(why) => StepStatus::Interrupted(why),
+            None => self.fail(FailureReason::SolverBudget),
+        }
+    }
+
+    /// Emits the progress milestone for one learned DIP.
+    pub fn milestone(&self, ctl: &mut AttackCtl, stage: &'static str) {
+        ctl.emit(ProgressEvent::Milestone(Milestone {
+            stage,
+            iterations: self.prior + self.iterations,
+            dips_eliminated: self.ctx.dips.len(),
+            clauses_learned: self.ctx.solver.stats().learned_clauses,
+            oracle_queries: ctl.queries(),
+        }));
+    }
+
+    pub fn finish(&mut self, outcome: AttackOutcome) -> StepStatus {
+        self.outcome = Some(outcome);
+        StepStatus::Done
+    }
+
+    pub fn fail(&mut self, reason: FailureReason) -> StepStatus {
+        let out = self.failed(reason);
+        self.finish(out)
+    }
+
+    pub fn succeed(&mut self, key: Vec<bool>) -> StepStatus {
+        self.finish(AttackOutcome {
+            key: Some(key),
+            failure: None,
+            iterations: self.prior + self.iterations,
+            oracle_queries: self.oracle.queries_attempted(),
+            telemetry: self.ctx.telemetry(),
+        })
+    }
+
+    pub fn outcome(&self) -> Option<&AttackOutcome> {
+        self.outcome.as_ref()
+    }
+
+    /// The current state rendered as a failed outcome.
+    pub fn failed(&self, reason: FailureReason) -> AttackOutcome {
+        AttackOutcome::failed(
+            reason,
+            self.prior + self.iterations,
+            self.oracle.queries_attempted(),
+        )
+        .with_telemetry(self.ctx.telemetry())
+    }
+}
+
 /// The SAT attack as an [`AttackEngine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SatEngine {
@@ -172,17 +338,7 @@ impl AttackEngine for SatEngine {
         locked: &'a LockedCircuit,
         oracle: &'a mut dyn Oracle,
     ) -> Box<dyn AttackSession + 'a> {
-        let mut ctx = AttackContext::new(locked);
-        ctx.solver.set_conflict_budget(self.config.conflict_budget);
-        Box::new(SatSession {
-            ctx,
-            oracle,
-            max_iterations: self.config.max_iterations,
-            iterations: 0,
-            pending_dip: None,
-            started: false,
-            outcome: None,
-        })
+        Box::new(SatSession::new(locked, oracle, &self.config, "dip-search"))
     }
 }
 
@@ -190,119 +346,43 @@ impl AttackEngine for SatEngine {
 /// distinguishing input (or finishes via extraction when the miter is
 /// UNSAT).
 pub struct SatSession<'a> {
-    ctx: AttackContext,
-    oracle: &'a mut dyn Oracle,
+    dip: DipLoop<'a>,
     max_iterations: usize,
-    iterations: usize,
-    /// A DIP whose oracle query was interrupted; resumed before any new
-    /// miter solve so the interrupted trajectory stays bit-identical.
-    pending_dip: Option<Vec<bool>>,
-    started: bool,
-    outcome: Option<AttackOutcome>,
+    /// Stage name of the DIP search in progress events.
+    stage: &'static str,
 }
 
-impl SatSession<'_> {
-    fn finish(&mut self, outcome: AttackOutcome) -> StepStatus {
-        self.outcome = Some(outcome);
-        StepStatus::Done
-    }
-
-    fn finish_failed(&mut self, reason: FailureReason) -> StepStatus {
-        let out = AttackOutcome::failed(
-            reason,
-            self.iterations,
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry());
-        self.finish(out)
-    }
-
-    /// Miter UNSAT: every remaining key is correct — extract one.
-    fn extract_and_finish(&mut self) -> StepStatus {
-        let key = self.ctx.extract_key();
-        let telemetry = self.ctx.telemetry();
-        match key {
-            Some(key) => self.finish(AttackOutcome {
-                key: Some(key),
-                failure: None,
-                iterations: self.iterations,
-                oracle_queries: self.oracle.queries_attempted(),
-                telemetry,
-            }),
-            None => self.finish_failed(FailureReason::Inconclusive),
+impl<'a> SatSession<'a> {
+    pub(crate) fn new(
+        locked: &LockedCircuit,
+        oracle: &'a mut dyn Oracle,
+        config: &SatAttackConfig,
+        stage: &'static str,
+    ) -> Self {
+        let mut dip = DipLoop::new(locked, oracle);
+        dip.ctx.solver.set_conflict_budget(config.conflict_budget);
+        SatSession {
+            dip,
+            max_iterations: config.max_iterations,
+            stage,
         }
     }
 }
 
 impl AttackSession for SatSession<'_> {
     fn step(&mut self, ctl: &mut AttackCtl) -> StepStatus {
-        if self.outcome.is_some() {
-            return StepStatus::Done;
+        if let Some(status) = self.dip.begin(ctl, self.stage) {
+            return status;
         }
-        if let Err(why) = ctl.check() {
-            return StepStatus::Interrupted(why);
-        }
-        if !self.started {
-            self.started = true;
-            ctl.emit_stage("dip-search");
-        }
-        ctl.arm_solver(&mut self.ctx.solver);
-        let x = match self.pending_dip.take() {
-            Some(x) => x,
-            None => {
-                if self.iterations >= self.max_iterations {
-                    return self.finish_failed(FailureReason::IterationLimit);
-                }
-                match self.ctx.solve_miter() {
-                    SolveResult::Unknown => {
-                        return match ctl.solver_interrupt(&self.ctx.solver) {
-                            Some(why) => StepStatus::Interrupted(why),
-                            None => self.finish_failed(FailureReason::SolverBudget),
-                        };
-                    }
-                    SolveResult::Unsat => {
-                        ctl.emit_stage("extract");
-                        return self.extract_and_finish();
-                    }
-                    SolveResult::Sat => self.ctx.model_dip(),
-                }
-            }
-        };
-        match ctl.query(self.oracle, &x) {
-            Err(why) => {
-                self.pending_dip = Some(x);
-                StepStatus::Interrupted(why)
-            }
-            Ok(None) => {
-                self.iterations += 1;
-                self.finish_failed(FailureReason::OracleUnavailable)
-            }
-            Ok(Some(y)) => {
-                self.iterations += 1;
-                self.ctx.learn(&x, &y);
-                ctl.emit(ProgressEvent::Milestone(Milestone {
-                    stage: "dip-search",
-                    iterations: self.iterations,
-                    dips_eliminated: self.ctx.dips.len(),
-                    clauses_learned: self.ctx.solver.stats().learned_clauses,
-                    oracle_queries: ctl.queries(),
-                }));
-                StepStatus::Running
-            }
-        }
+        self.dip.search(ctl, self.max_iterations, self.stage)
     }
 
     fn outcome(&self) -> Option<&AttackOutcome> {
-        self.outcome.as_ref()
+        self.dip.outcome()
     }
 
     fn interrupted_outcome(&self, why: Interrupt) -> AttackOutcome {
-        AttackOutcome::failed(
-            why.into(),
-            self.iterations,
-            self.oracle.queries_attempted(),
-        )
-        .with_telemetry(self.ctx.telemetry())
+        self.dip.failed(why.into())
     }
 }
 

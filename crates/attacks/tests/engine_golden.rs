@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 
 use attacks::appsat::{AppSatConfig, AppSatEngine};
 use attacks::double_dip::{DoubleDipConfig, DoubleDipEngine};
-use attacks::dyn_unlock::{DynUnlockConfig, DynUnlockEngine, ScanSessionOracle};
+use attacks::dyn_unlock::{DynUnlockEngine, ScanSessionOracle};
 use attacks::engine::{
-    self, AttackCtl, AttackEngine, Interrupt, ProgressEvent, StepStatus, ENGINE_NAMES,
+    self, AttackCtl, AttackEngine, Interrupt, Milestone, ProgressEvent, StepStatus, ENGINE_NAMES,
 };
 use attacks::hill_climbing::{HillClimbConfig, HillClimbEngine};
 use attacks::sat::{SatAttackConfig, SatEngine};
@@ -140,7 +140,7 @@ fn dyn_unlock_golden_pins_the_session_frame_sequence() {
 
     let mut chip = ScanSessionOracle::new(&locked, &unrolled).expect("chip oracle");
     let mut oracle = RecordingOracle { inner: &mut chip, stimuli: Vec::new() };
-    let engine = DynUnlockEngine { config: DynUnlockConfig::for_session(&unrolled) };
+    let engine = DynUnlockEngine::default();
     let out = engine::run(&engine, &unrolled.locked, &mut oracle, &mut AttackCtl::new());
 
     assert_eq!(out.iterations, 1, "dyn_unlock: iterations");
@@ -172,43 +172,81 @@ fn by_name_covers_every_engine_and_rejects_unknowns() {
     assert!(engine::by_name("smt").is_none());
 }
 
-#[test]
-fn progress_sink_sees_stages_and_monotonic_milestones() {
-    let locked = rll(&samples::ripple_adder(4), 8, 3);
-    let mut oracle = CombOracle::from_locked(&locked).unwrap();
+/// Runs `engine` with a collecting progress sink; returns the outcome, the
+/// stage names and the milestones, in emission order.
+fn run_with_progress(
+    engine: &dyn AttackEngine,
+    locked: &LockedCircuit,
+) -> (attacks::AttackOutcome, Vec<&'static str>, Vec<Milestone>) {
+    let mut oracle = CombOracle::from_locked(locked).unwrap();
     let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     let mut ctl =
         AttackCtl::new().with_progress(Box::new(move |e| sink.lock().unwrap().push(*e)));
-    let out = engine::run(
-        &SatEngine { config: SatAttackConfig::default() },
-        &locked,
-        &mut oracle,
-        &mut ctl,
-    );
-    assert!(out.succeeded());
+    let out = engine::run(engine, locked, &mut oracle, &mut ctl);
     let events = events.lock().unwrap();
-    let stages: Vec<&str> = events
-        .iter()
-        .filter_map(|e| match e {
-            ProgressEvent::Stage { name } => Some(*name),
-            ProgressEvent::Milestone(_) => None,
-        })
-        .collect();
-    assert_eq!(stages, ["dip-search", "extract"]);
-    let milestones: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            ProgressEvent::Milestone(m) => Some(*m),
-            ProgressEvent::Stage { .. } => None,
-        })
-        .collect();
-    assert_eq!(milestones.len(), out.iterations, "one milestone per DIP");
-    for w in milestones.windows(2) {
-        assert!(w[1].iterations > w[0].iterations, "iterations monotonic");
-        assert!(w[1].oracle_queries > w[0].oracle_queries, "queries monotonic");
+    let mut stages = Vec::new();
+    let mut milestones = Vec::new();
+    for e in events.iter() {
+        match e {
+            ProgressEvent::Stage { name } => stages.push(*name),
+            ProgressEvent::Milestone(m) => milestones.push(*m),
+        }
     }
-    assert_eq!(milestones.last().unwrap().oracle_queries as usize, out.oracle_queries);
+    (out, stages, milestones)
+}
+
+/// Every DIP-loop engine reports its stage names (the serve `subscribe`
+/// stream carries them) and one monotonic milestone per learned DIP.
+#[test]
+fn progress_sink_sees_stages_and_monotonic_milestones() {
+    let locked = rll(&samples::ripple_adder(4), 8, 3);
+    for (name, want) in [
+        ("sat", &["dip-search", "extract"][..]),
+        ("appsat", &["dip-search", "extract"]),
+        ("double_dip", &["2dip-search", "fallback", "extract"]),
+        ("dyn_unlock", &["session-search", "extract"]),
+    ] {
+        let engine = engine::by_name(name).unwrap();
+        let (out, stages, milestones) = run_with_progress(engine.as_ref(), &locked);
+        assert!(out.succeeded(), "{name}");
+        assert_eq!(stages, want, "{name}: stages");
+        assert_eq!(milestones.len(), 4, "{name}: milestones");
+        assert_eq!(milestones.len(), out.iterations, "{name}: one milestone per DIP");
+        for w in milestones.windows(2) {
+            assert!(w[1].iterations > w[0].iterations, "{name}: iterations monotonic");
+            assert!(w[1].oracle_queries > w[0].oracle_queries, "{name}: queries monotonic");
+        }
+        assert_eq!(milestones.last().unwrap().oracle_queries as usize, out.oracle_queries);
+    }
+}
+
+/// AppSAT on an RLL+SARLock compound settles instead of extracting: two
+/// settlement checks, the second accepted.
+#[test]
+fn appsat_settles_on_a_compound_lock() {
+    let rll6 = rll(&samples::ripple_adder(4), 6, 4);
+    let sar = locking::point_function::sarlock(
+        &rll6.circuit,
+        &locking::point_function::SarLockConfig { key_bits: 8, seed: 5 },
+    )
+    .unwrap();
+    let mut key_inputs = rll6.key_inputs.clone();
+    key_inputs.extend(sar.key_inputs.iter().copied());
+    let mut correct_key = rll6.correct_key.clone();
+    correct_key.extend(sar.correct_key.iter().copied());
+    let locked = LockedCircuit {
+        circuit: sar.circuit,
+        key_inputs,
+        correct_key,
+        scheme: "rll+sarlock",
+    };
+    let engine = AppSatEngine { config: AppSatConfig::default() };
+    let (out, stages, _) = run_with_progress(&engine, &locked);
+    assert_eq!(stages, ["dip-search", "settle", "settle"]);
+    assert_eq!(out.iterations, 16);
+    assert_eq!(out.oracle_queries, 144);
+    assert_eq!(key_string(out.key.as_deref().unwrap()), "00110100110100");
 }
 
 #[test]
@@ -230,9 +268,10 @@ fn query_budget_stops_the_attack_at_the_oracle_boundary() {
 }
 
 /// An interrupted-then-resumed session recovers the same key by the same
-/// trajectory as an uninterrupted run: the budget interrupt fires at the
-/// oracle boundary, the pending distinguishing input is stashed, and the
-/// resumed session replays it without re-solving.
+/// trajectory as an uninterrupted run, for every engine on the shared DIP
+/// loop: the budget interrupt fires at the oracle boundary, the pending
+/// distinguishing input is stashed, and the resumed session replays it
+/// without re-solving.
 #[test]
 fn interrupted_then_resumed_session_matches_uninterrupted_run() {
     qcheck::qcheck!(
@@ -241,37 +280,39 @@ fn interrupted_then_resumed_session_matches_uninterrupted_run() {
         (lock_seed, budget) in (0u64..40, 1u64..5) => {
             let circuit = samples::ripple_adder(4);
             let locked = rll(&circuit, 8, lock_seed);
-            let engine = SatEngine { config: SatAttackConfig::default() };
+            for name in ["sat", "appsat", "double_dip", "dyn_unlock"] {
+                let engine = engine::by_name(name).unwrap();
 
-            let mut oracle_a = CombOracle::from_locked(&locked).unwrap();
-            let baseline =
-                engine::run(&engine, &locked, &mut oracle_a, &mut AttackCtl::new());
+                let mut oracle_a = CombOracle::from_locked(&locked).unwrap();
+                let baseline =
+                    engine::run(engine.as_ref(), &locked, &mut oracle_a, &mut AttackCtl::new());
 
-            let mut oracle_b = CombOracle::from_locked(&locked).unwrap();
-            let mut session = engine.start(&locked, &mut oracle_b);
-            let mut budgeted = AttackCtl::new().with_query_budget(Some(budget));
-            let mut interrupted = false;
-            loop {
-                match session.step(&mut budgeted) {
-                    StepStatus::Running => {}
-                    StepStatus::Done => break,
-                    StepStatus::Interrupted(why) => {
-                        qcheck::prop_assert_eq!(why, Interrupt::QueryBudgetExhausted);
-                        interrupted = true;
-                        break;
+                let mut oracle_b = CombOracle::from_locked(&locked).unwrap();
+                let mut session = engine.start(&locked, &mut oracle_b);
+                let mut budgeted = AttackCtl::new().with_query_budget(Some(budget));
+                let mut interrupted = false;
+                loop {
+                    match session.step(&mut budgeted) {
+                        StepStatus::Running => {}
+                        StepStatus::Done => break,
+                        StepStatus::Interrupted(why) => {
+                            qcheck::prop_assert_eq!(why, Interrupt::QueryBudgetExhausted);
+                            interrupted = true;
+                            break;
+                        }
                     }
                 }
-            }
-            // Resume with a fresh, unbudgeted ctl.
-            let mut open = AttackCtl::new();
-            let resumed = engine::drive(session.as_mut(), &mut open);
-            qcheck::prop_assert_eq!(&resumed.key, &baseline.key);
-            qcheck::prop_assert_eq!(resumed.iterations, baseline.iterations);
-            qcheck::prop_assert_eq!(resumed.oracle_queries, baseline.oracle_queries);
-            // When the budget was genuinely smaller than the attack's needs
-            // the first drive really was cut short.
-            if (budget as usize) < baseline.oracle_queries {
-                qcheck::prop_assert!(interrupted);
+                // Resume with a fresh, unbudgeted ctl.
+                let mut open = AttackCtl::new();
+                let resumed = engine::drive(session.as_mut(), &mut open);
+                qcheck::prop_assert_eq!(&resumed.key, &baseline.key);
+                qcheck::prop_assert_eq!(resumed.iterations, baseline.iterations);
+                qcheck::prop_assert_eq!(resumed.oracle_queries, baseline.oracle_queries);
+                // When the budget was genuinely smaller than the attack's
+                // needs the first drive really was cut short.
+                if (budget as usize) < baseline.oracle_queries {
+                    qcheck::prop_assert!(interrupted);
+                }
             }
         });
 }

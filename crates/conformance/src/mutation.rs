@@ -208,7 +208,7 @@ pub fn catalog() -> Vec<MutantSpec> {
         MutantSpec {
             id: "attacks-dyn-unlock-drop-frame",
             layer: "attacks",
-            description: "drop the first shift frame from every learned scan-session response",
+            description: "drop the first shift frame from every scan-session response the chip oracle hands DynUnlock",
             kind: MutantKind::Scan(ScanSabotage::DropUnrollFrame),
         },
         MutantSpec {

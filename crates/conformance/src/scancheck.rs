@@ -8,17 +8,17 @@
 //! - a wrong-hop swap in the session unroller must surface as a divergence
 //!   between the unrolled combinational circuit and the real chip's
 //!   [`ObfScanSim`] session (checks 3 and 4),
-//! - a dropped unroll frame in DynUnlock's CNF learning must surface as a
-//!   failed seed recovery in the full attack loop (check 5),
+//! - a dropped shift frame in every session response the chip hands
+//!   DynUnlock must surface as a failed seed recovery in the full attack
+//!   loop (check 5),
 //! - a swapped K-Gate decode table must surface as a recorded key that no
 //!   longer decodes its classes (check 1).
 
 use attacks::aigcnf::ReducedEncoder;
-use attacks::dyn_unlock::{
-    DynUnlockConfig, DynUnlockEngine, DynUnlockSabotage, ScanSessionOracle,
-};
+use attacks::dyn_unlock::{DynUnlockEngine, ScanSessionOracle};
 use attacks::engine::{self, AttackCtl};
-use attacks::{verify, CombOracle};
+use attacks::sat::SatAttackConfig;
+use attacks::{verify, CombOracle, Oracle};
 use cdcl::{SolveResult, Solver};
 use locking::kgate::{self, KGateConfig, KGateSabotage};
 use locking::scan_obfuscation::{
@@ -33,12 +33,13 @@ use crate::reference;
 
 /// Test-only semantic faults in the scan-obfuscation scheme/attack stack,
 /// united here so the mutation kill matrix drives all three through one
-/// battery. Each maps onto the hook in its home crate.
+/// battery. The scheme faults map onto the hook in their home crate; the
+/// attack fault is `FrameDropOracle`, planted between chip and attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanSabotage {
     /// [`UnrollSabotage::WrongHopPermutation`] in the session unroller.
     WrongHopPermutation,
-    /// [`DynUnlockSabotage::DropUnrollFrame`] in the attack's CNF learning.
+    /// `FrameDropOracle` between the chip oracle and DynUnlock.
     DropUnrollFrame,
     /// [`KGateSabotage::DecodeTableSwap`] in the K-Gate key bookkeeping.
     DecodeTableSwap,
@@ -89,6 +90,38 @@ fn hidden_state_workload() -> (Circuit, ScanObfLocked) {
     (orig, locked)
 }
 
+/// The dropped-frame mutant: a session oracle that loses the first shift
+/// frame of every response, so each later frame lands one frame early and
+/// the tail reads as zeros — the classic off-by-one-frame unroll bug. The
+/// misaligned responses rule out the true seed, so the attack either stalls
+/// or extracts a seed the real chip refutes.
+struct FrameDropOracle<'a> {
+    inner: &'a mut dyn Oracle,
+    /// Observed bits per shift frame (one per scan chain).
+    frame_bits: usize,
+}
+
+impl Oracle for FrameDropOracle<'_> {
+    fn num_inputs(&self) -> usize {
+        self.inner.num_inputs()
+    }
+
+    fn num_outputs(&self) -> usize {
+        self.inner.num_outputs()
+    }
+
+    fn query(&mut self, input: &[bool]) -> Option<Vec<bool>> {
+        let y = self.inner.query(input)?;
+        let mut shifted = y[self.frame_bits.min(y.len())..].to_vec();
+        shifted.resize(y.len(), false);
+        Some(shifted)
+    }
+
+    fn queries_attempted(&self) -> usize {
+        self.inner.queries_attempted()
+    }
+}
+
 fn unroll_with(
     locked: &ScanObfLocked,
     sabotage: Option<UnrollSabotage>,
@@ -110,8 +143,6 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
         .then_some(KGateSabotage::DecodeTableSwap);
     let unroll_sab = (sabotage == Some(ScanSabotage::WrongHopPermutation))
         .then_some(UnrollSabotage::WrongHopPermutation);
-    let dyn_sab = (sabotage == Some(ScanSabotage::DropUnrollFrame))
-        .then_some(DynUnlockSabotage::DropUnrollFrame);
 
     let (kg_patterns, diff_trials, full_workloads) = match scale {
         Scale::Smoke => (256, 12, false),
@@ -225,21 +256,25 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
         // the true seed.)
         {
             let clean_unroll = unroll_with(locked, None);
-            let mut oracle = ScanSessionOracle::new(locked, &clean_unroll)
+            let mut chip = ScanSessionOracle::new(locked, &clean_unroll)
                 .map_err(|e| format!("workload {wi}: session oracle: {e}"))?;
+            let mut dropping;
+            let oracle: &mut dyn Oracle = if sabotage == Some(ScanSabotage::DropUnrollFrame) {
+                dropping = FrameDropOracle {
+                    inner: &mut chip,
+                    frame_bits: clean_unroll.frame_bits(),
+                };
+                &mut dropping
+            } else {
+                &mut chip
+            };
             let engine = DynUnlockEngine {
-                config: DynUnlockConfig {
+                config: SatAttackConfig {
                     max_iterations: 64,
-                    sabotage: dyn_sab,
-                    ..DynUnlockConfig::for_session(&clean_unroll)
+                    ..SatAttackConfig::default()
                 },
             };
-            let out = engine::run(
-                &engine,
-                &clean_unroll.locked,
-                &mut oracle,
-                &mut AttackCtl::new(),
-            );
+            let out = engine::run(&engine, &clean_unroll.locked, oracle, &mut AttackCtl::new());
             let key = out.key.ok_or_else(|| {
                 format!(
                     "workload {wi}: dyn_unlock failed to recover a seed ({:?})",
@@ -266,17 +301,18 @@ mod tests {
         scan_battery(None, Scale::Smoke).expect("clean scan battery passes");
     }
 
+    /// Each scan mutant dies, and by the check built for it.
     #[test]
     fn every_scan_mutant_is_killed_at_smoke() {
-        for sab in [
-            ScanSabotage::WrongHopPermutation,
-            ScanSabotage::DropUnrollFrame,
-            ScanSabotage::DecodeTableSwap,
+        for (sab, killer) in [
+            (ScanSabotage::WrongHopPermutation, "unrolled session diverges"),
+            (ScanSabotage::DropUnrollFrame, "dyn_unlock"),
+            (ScanSabotage::DecodeTableSwap, "kgate round-trip"),
         ] {
-            assert!(
-                scan_battery(Some(sab), Scale::Smoke).is_err(),
-                "{sab:?} must be detected"
-            );
+            let Err(err) = scan_battery(Some(sab), Scale::Smoke) else {
+                panic!("{sab:?} must be detected");
+            };
+            assert!(err.contains(killer), "{sab:?} killed by the wrong check: {err}");
         }
     }
 }

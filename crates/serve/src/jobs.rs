@@ -556,7 +556,7 @@ pub fn run_job(state: &ServeState, ctx: &JobCtx, spec: &JobSpec) -> Result<Json,
                     Box::new(sensitization::SensitizationEngine { config })
                 }
                 AttackKind::DynUnlock => {
-                    let mut config = dyn_unlock::DynUnlockConfig::default();
+                    let mut config = sat::SatAttackConfig::default();
                     if mi > 0 {
                         config.max_iterations = mi;
                     }

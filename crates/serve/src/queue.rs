@@ -26,6 +26,12 @@
 //! capped at [`PROGRESS_CAP`] events (overflow is counted, never blocks
 //! the worker).
 //!
+//! The job table keeps every queued and running job, but only the
+//! [`RETAINED_JOBS`] most recently finished terminal jobs: each `submit`
+//! evicts the oldest-finished terminal jobs past that bound, so a
+//! long-lived daemon's memory stays bounded. An evicted id is unknown to
+//! `status`, `progress` and `wait_terminal`.
+//!
 //! The worker pool is built on [`exec::Pool`]: `run` issues one `par_map`
 //! whose items are the worker indices, so each worker loop occupies one
 //! pool task for the daemon's lifetime and the pool's stage counters
@@ -146,6 +152,11 @@ pub enum JobInterrupt {
 /// in [`ProgressBatch::dropped`] instead of stored, so a chatty job can
 /// never hold the daemon's memory hostage.
 pub const PROGRESS_CAP: usize = 4096;
+
+/// Terminal jobs (with their results and progress logs) kept for `status`,
+/// `result` and `subscribe`; `submit` evicts the oldest-finished terminal
+/// job past this bound. Queued and running jobs are never evicted.
+pub const RETAINED_JOBS: usize = 4096;
 
 /// Append-only per-job event log backing the `subscribe` op.
 ///
@@ -435,6 +446,8 @@ pub struct QueueStats {
 
 struct Inner<J, R> {
     jobs: HashMap<u64, Job<J, R>>,
+    /// Terminal ids in the order they finished; the front is evicted first.
+    finished: std::collections::VecDeque<u64>,
     /// Pending ids per priority class, FIFO.
     pending: [std::collections::VecDeque<u64>; 3],
     next_id: u64,
@@ -466,6 +479,7 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
         Arc::new(JobQueue {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
+                finished: Default::default(),
                 pending: Default::default(),
                 next_id: 1,
                 next_start_seq: 1,
@@ -497,6 +511,10 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
         let mut g = self.inner.lock().expect("queue lock");
         if g.shutdown {
             return Err(ShuttingDown);
+        }
+        while g.finished.len() >= RETAINED_JOBS {
+            let old = g.finished.pop_front().expect("non-empty");
+            g.jobs.remove(&old);
         }
         let id = g.next_id;
         g.next_id += 1;
@@ -546,6 +564,7 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
                 for q in inner.pending.iter_mut() {
                     q.retain(|&p| p != id);
                 }
+                inner.finished.push_back(id);
                 inner.stats.cancelled += 1;
                 drop(g);
                 self.terminal.notify_all();
@@ -566,7 +585,8 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
     }
 
     /// The progress log of one job, or `None` for an unknown id. Valid
-    /// from submission (before the job runs) until the daemon exits.
+    /// from submission (before the job runs) until the job is evicted
+    /// ([`RETAINED_JOBS`]).
     pub fn progress(&self, id: u64) -> Option<Arc<ProgressLog>> {
         let g = self.inner.lock().expect("queue lock");
         g.jobs.get(&id).map(|j| Arc::clone(&j.progress))
@@ -649,6 +669,7 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
                     job.payload = None;
                     job.cancel.store(true, Ordering::Release);
                     job.progress.close();
+                    inner.finished.push_back(id);
                     inner.stats.cancelled += 1;
                 }
             }
@@ -772,6 +793,7 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
             }
             let wait_ns = (j.dequeued.expect("dequeued") - j.submitted).as_nanos() as u64;
             inner.stats.queue_wait_ns += wait_ns;
+            inner.finished.push_back(id);
             drop(g);
             self.terminal.notify_all();
         }
@@ -897,6 +919,25 @@ mod tests {
         assert!(fin.events.is_empty());
         q.shutdown(false);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn submit_evicts_the_oldest_finished_job_past_the_bound() {
+        let (q, h) = start(1);
+        let mut ids = Vec::new();
+        for _ in 0..=RETAINED_JOBS {
+            let id = q.submit("sleep", Work::Sleep(0), Priority::Normal, None).unwrap();
+            assert_eq!(q.wait_terminal(id, WAIT).unwrap().state, JobState::Done);
+            ids.push(id);
+        }
+        let (first, last) = (ids[0], ids[RETAINED_JOBS]);
+        assert!(q.status(first).is_none(), "oldest finished job evicted");
+        assert!(q.progress(first).is_none());
+        assert_eq!(q.status(last).unwrap().result, Some(0));
+        assert!(q.status(ids[1]).is_some(), "only the overflow is evicted");
+        q.shutdown(true);
+        h.join().unwrap();
+        assert_eq!(q.stats().submitted, RETAINED_JOBS as u64 + 1);
     }
 
     #[test]

@@ -200,6 +200,9 @@ fn graceful_shutdown_drains_queued_jobs() {
     let (mut handle, addr) = start(2);
     let mut submitter = connect(&addr);
     let mut poller = connect(&addr);
+    // The accept loop polls, so a connection opened just before `shutdown`
+    // may never be accepted; one answered request proves this one was.
+    poller.ping().unwrap();
 
     let jobs: Vec<u64> = (0..6)
         .map(|_| {

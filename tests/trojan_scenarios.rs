@@ -176,7 +176,7 @@ fn scenario_e_one_shot_query_defeated_by_modified_scheme() {
 /// attack on the same netlist.
 #[test]
 fn dynamic_scan_obfuscation_falls_to_dyn_unlock_unless_the_oracle_dies() {
-    use attacks::dyn_unlock::{DynUnlockConfig, DynUnlockEngine, ScanSessionOracle};
+    use attacks::dyn_unlock::{DynUnlockEngine, ScanSessionOracle};
     use attacks::engine::{run, AttackCtl};
     use locking::scan_obfuscation::{self, ScanObfConfig, UnrollOptions};
 
@@ -184,9 +184,7 @@ fn dynamic_scan_obfuscation_falls_to_dyn_unlock_unless_the_oracle_dies() {
     let locked = scan_obfuscation::lock(&design, &ScanObfConfig::balanced(8, 3))
         .expect("lockable");
     let unrolled = locked.unroll(&UnrollOptions::default()).expect("acyclic");
-    let engine = DynUnlockEngine {
-        config: DynUnlockConfig::for_session(&unrolled),
-    };
+    let engine = DynUnlockEngine::default();
 
     // Open scan interface: the chip answers every bounded session, and the
     // seed falls out of the SAT loop.
