@@ -20,7 +20,10 @@ cargo test -q --workspace --offline
 
 echo "==> benchmark smoke tests (offline; its own workspace under benchmark/)"
 # Building the benchmark here makes a removed public API it still calls
-# fail tier-1 instead of the next benchmark run.
+# fail tier-1 instead of the next benchmark run. A dependency-edge change
+# in a workspace crate makes cargo rewrite the benchmark's lockfile, which
+# only a benchmark change may do: the checksum is compared after clippy.
+BENCH_LOCK_SUM="$(cksum benchmark/Cargo.lock)"
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy -D warnings (offline, scoped allows)"
@@ -28,6 +31,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings "${CLIPPY_ALLOW[
 
 echo "==> benchmark clippy -D warnings (offline; its own workspace under benchmark/)"
 CARGO_TARGET_DIR=.bench_build cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+if [ "$(cksum benchmark/Cargo.lock)" != "$BENCH_LOCK_SUM" ]; then
+  echo "ERROR: building the benchmark rewrote benchmark/Cargo.lock" >&2
+  exit 1
+fi
 
 echo "==> cargo doc -D warnings (offline, no deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps --quiet

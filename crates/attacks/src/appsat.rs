@@ -15,30 +15,28 @@ use crate::engine::{AttackCtl, AttackEngine, AttackSession, Interrupt, StepStatu
 use crate::sat::DipLoop;
 use crate::{AttackOutcome, FailureReason, Oracle};
 
+/// Run a settlement check every this many DIPs.
+const SETTLE_EVERY: usize = 8;
+/// Random queries per settlement check.
+const SETTLE_SAMPLES: usize = 64;
+/// PRNG seed for settlement sampling.
+const SETTLE_SEED: u64 = 0xA995A7;
+
 /// AppSAT configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppSatConfig {
     /// Maximum DIP iterations.
     pub max_iterations: usize,
-    /// Run a settlement check every this many DIPs.
-    pub settle_every: usize,
-    /// Random queries per settlement check.
-    pub settle_samples: usize,
     /// Accept the candidate when the mismatching-query fraction is at most
     /// this (0.0 = exact on the sample).
     pub error_threshold: f64,
-    /// PRNG seed for settlement sampling.
-    pub seed: u64,
 }
 
 impl Default for AppSatConfig {
     fn default() -> Self {
         AppSatConfig {
             max_iterations: 2048,
-            settle_every: 8,
-            settle_samples: 64,
             error_threshold: 0.01,
-            seed: 0xA995A7,
         }
     }
 }
@@ -91,7 +89,7 @@ impl AttackEngine for AppSatEngine {
         Box::new(AppSatSession {
             dip,
             config,
-            rng: SplitMix64::new(config.seed),
+            rng: SplitMix64::new(SETTLE_SEED),
             sim,
             key_pos,
             data_pos,
@@ -130,7 +128,7 @@ impl AppSatSession<'_> {
     fn run_settlement(&mut self, ctl: &mut AttackCtl) -> StepStatus {
         let mut st = self.settle.take().expect("settlement state present");
         let sim = self.sim.as_ref().expect("settlement implies a simulator");
-        while st.sampled < self.config.settle_samples {
+        while st.sampled < SETTLE_SAMPLES {
             let x: Vec<bool> = match st.pending_x.take() {
                 Some(x) => x,
                 None => (0..self.data_pos.len()).map(|_| self.rng.bool()).collect(),
@@ -182,7 +180,7 @@ impl AttackSession for AppSatSession<'_> {
         }
         let status = self.dip.search(ctl, self.config.max_iterations, "dip-search");
         if status != StepStatus::Running
-            || !self.dip.iterations.is_multiple_of(self.config.settle_every)
+            || !self.dip.iterations.is_multiple_of(SETTLE_EVERY)
         {
             return status;
         }
@@ -284,7 +282,6 @@ mod tests {
         let cfg = AppSatConfig {
             max_iterations: 512,
             error_threshold: 0.05,
-            ..AppSatConfig::default()
         };
         let out = run(&locked, &mut oracle, &cfg);
         let key = out.key.expect("AppSAT settles on compound locking");

@@ -23,21 +23,19 @@ use crate::engine::{AttackCtl, AttackEngine, AttackSession, Interrupt, StepStatu
 use crate::sat::DipLoop;
 use crate::{AttackOutcome, FailureReason, Oracle};
 
+/// Iteration cap for the fallback plain SAT attack.
+const FALLBACK_ITERATIONS: usize = 4096;
+
 /// Double-DIP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoubleDipConfig {
     /// Maximum 2-discriminating iterations before the fallback phase.
     pub max_iterations: usize,
-    /// Iteration cap for the fallback plain SAT attack.
-    pub fallback_iterations: usize,
 }
 
 impl Default for DoubleDipConfig {
     fn default() -> Self {
-        DoubleDipConfig {
-            max_iterations: 2048,
-            fallback_iterations: 4096,
-        }
+        DoubleDipConfig { max_iterations: 2048 }
     }
 }
 
@@ -121,7 +119,7 @@ impl DoubleDipSession<'_> {
                 }
                 match self.miter.solver.solve() {
                     SolveResult::Unknown => {
-                        return self.dip.stalled(ctl.solver_interrupt(&self.miter.solver));
+                        return StepStatus::Interrupted(ctl.solver_interrupt(&self.miter.solver));
                     }
                     SolveResult::Unsat => {
                         // No 2-discriminating input remains: switch to the
@@ -164,7 +162,7 @@ impl AttackSession for DoubleDipSession<'_> {
             return status;
         }
         if self.in_fallback {
-            self.dip.search(ctl, self.config.fallback_iterations, "fallback")
+            self.dip.search(ctl, FALLBACK_ITERATIONS, "fallback")
         } else {
             self.step_miter(ctl)
         }

@@ -240,21 +240,19 @@ impl AttackCtl {
         solver.set_deadline(self.deadline);
     }
 
-    /// Classifies a solver's `Unknown` result: `Some(interrupt)` when this
-    /// control block's hook stopped the solve, `None` when the solver's own
-    /// conflict budget ran out.
-    pub fn solver_interrupt(&self, solver: &Solver) -> Option<Interrupt> {
-        if !solver.interrupted() {
-            return None;
-        }
+    /// Classifies a solver's `Unknown` result. Attack solvers run without
+    /// a conflict budget, so only this control block's hook stops a solve:
+    /// the cancel flag when it fired, the deadline otherwise.
+    pub fn solver_interrupt(&self, solver: &Solver) -> Interrupt {
+        debug_assert!(solver.interrupted(), "Unknown without an interrupt");
         let cancelled = self
             .cancel
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed));
         if cancelled {
-            Some(Interrupt::Cancelled)
+            Interrupt::Cancelled
         } else {
-            Some(Interrupt::DeadlineExpired)
+            Interrupt::DeadlineExpired
         }
     }
 

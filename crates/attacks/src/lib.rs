@@ -71,8 +71,6 @@ pub enum FailureReason {
     OracleUnavailable,
     /// The iteration limit was reached.
     IterationLimit,
-    /// The SAT solver's conflict budget ran out.
-    SolverBudget,
     /// The attack concluded without determining a key (e.g. inconsistent
     /// oracle responses, which indicate the oracle was answering with a
     /// locked circuit's outputs).
@@ -91,7 +89,6 @@ impl std::fmt::Display for FailureReason {
         let s = match self {
             FailureReason::OracleUnavailable => "oracle unavailable",
             FailureReason::IterationLimit => "iteration limit reached",
-            FailureReason::SolverBudget => "solver budget exhausted",
             FailureReason::Inconclusive => "inconclusive",
             FailureReason::Cancelled => "cancelled",
             FailureReason::TimedOut => "timed out",

@@ -39,16 +39,11 @@ use crate::{AttackOutcome, AttackTelemetry, DipTelemetry, FailureReason, Oracle}
 pub struct SatAttackConfig {
     /// Maximum distinguishing inputs before giving up.
     pub max_iterations: usize,
-    /// Optional conflict budget per solver call.
-    pub conflict_budget: Option<u64>,
 }
 
 impl Default for SatAttackConfig {
     fn default() -> Self {
-        SatAttackConfig {
-            max_iterations: 4096,
-            conflict_budget: None,
-        }
+        SatAttackConfig { max_iterations: 4096 }
     }
 }
 
@@ -219,7 +214,7 @@ impl<'a> DipLoop<'a> {
                 }
                 match self.ctx.solve_miter() {
                     SolveResult::Unknown => {
-                        return self.stalled(ctl.solver_interrupt(&self.ctx.solver));
+                        return StepStatus::Interrupted(ctl.solver_interrupt(&self.ctx.solver));
                     }
                     SolveResult::Unsat => {
                         ctl.emit_stage("extract");
@@ -263,15 +258,6 @@ impl<'a> DipLoop<'a> {
                 self.iterations += 1;
                 Ok((x, y))
             }
-        }
-    }
-
-    /// A solve returned `Unknown`: the control block's interrupt when it
-    /// stopped the solve, otherwise the conflict budget ran out.
-    pub fn stalled(&mut self, why: Option<Interrupt>) -> StepStatus {
-        match why {
-            Some(why) => StepStatus::Interrupted(why),
-            None => self.fail(FailureReason::SolverBudget),
         }
     }
 
@@ -359,10 +345,8 @@ impl<'a> SatSession<'a> {
         config: &SatAttackConfig,
         stage: &'static str,
     ) -> Self {
-        let mut dip = DipLoop::new(locked, oracle);
-        dip.ctx.solver.set_conflict_budget(config.conflict_budget);
         SatSession {
-            dip,
+            dip: DipLoop::new(locked, oracle),
             max_iterations: config.max_iterations,
             stage,
         }
@@ -459,10 +443,7 @@ mod tests {
         let out = run(
             &locked,
             &mut oracle,
-            &SatAttackConfig {
-                max_iterations: 32,
-                conflict_budget: None,
-            },
+            &SatAttackConfig { max_iterations: 32 },
         );
         assert_eq!(out.failure, Some(FailureReason::IterationLimit));
 
@@ -471,10 +452,7 @@ mod tests {
         let out2 = run(
             &locked,
             &mut oracle2,
-            &SatAttackConfig {
-                max_iterations: 600,
-                conflict_budget: None,
-            },
+            &SatAttackConfig { max_iterations: 600 },
         );
         let key = out2.key.expect("finishes after ~2^k iterations");
         assert!(out2.iterations > 32, "must need many DIPs");

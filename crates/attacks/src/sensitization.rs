@@ -168,11 +168,9 @@ impl<'a> SensitizationSession<'a> {
                             .collect()
                     }
                     SolveResult::Unknown => {
-                        if let Some(why) = ctl.solver_interrupt(&probe.miter) {
-                            self.current = Some(probe);
-                            return StepStatus::Interrupted(why);
-                        }
-                        break;
+                        let why = ctl.solver_interrupt(&probe.miter);
+                        self.current = Some(probe);
+                        return StepStatus::Interrupted(why);
                     }
                     SolveResult::Unsat => break,
                 },
@@ -244,19 +242,13 @@ impl<'a> SensitizationSession<'a> {
             let can_be_0 = match assume(&mut self.consistency, kv.negative()) {
                 Ok(v) => v,
                 Err(()) => {
-                    let why = ctl
-                        .solver_interrupt(&self.consistency)
-                        .unwrap_or(Interrupt::Cancelled);
-                    return StepStatus::Interrupted(why);
+                    return StepStatus::Interrupted(ctl.solver_interrupt(&self.consistency));
                 }
             };
             let can_be_1 = match assume(&mut self.consistency, kv.positive()) {
                 Ok(v) => v,
                 Err(()) => {
-                    let why = ctl
-                        .solver_interrupt(&self.consistency)
-                        .unwrap_or(Interrupt::Cancelled);
-                    return StepStatus::Interrupted(why);
+                    return StepStatus::Interrupted(ctl.solver_interrupt(&self.consistency));
                 }
             };
             self.verdicts[bi] = match (can_be_0, can_be_1) {

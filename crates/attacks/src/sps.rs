@@ -17,26 +17,12 @@ use netlist::{Circuit, Error, Gate, GateKind, NetId};
 
 use gatesim::CombSim;
 
-/// SPS attack configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpsConfig {
-    /// Patterns for probability estimation (rounded up to 64).
-    pub patterns: usize,
-    /// A net qualifies as "skewed" when `|p(1) − 0.5| ≥ threshold`.
-    pub skew_threshold: f64,
-    /// PRNG seed.
-    pub seed: u64,
-}
-
-impl Default for SpsConfig {
-    fn default() -> Self {
-        SpsConfig {
-            patterns: 8192,
-            skew_threshold: 0.45,
-            seed: 0x595,
-        }
-    }
-}
+/// Patterns for probability estimation.
+const PATTERNS: usize = 8192;
+/// A net qualifies as "skewed" when `|p(1) − 0.5| ≥ SKEW_THRESHOLD`.
+const SKEW_THRESHOLD: f64 = 0.45;
+/// PRNG seed for probability estimation.
+const SEED: u64 = 0x595;
 
 /// Outcome of the SPS attack.
 #[derive(Debug, Clone)]
@@ -87,9 +73,9 @@ pub fn signal_probabilities(
 /// # Errors
 ///
 /// Returns a netlist error if the circuit is cyclic.
-pub fn attack(locked: &LockedCircuit, config: &SpsConfig) -> Result<SpsOutcome, Error> {
+pub fn attack(locked: &LockedCircuit) -> Result<SpsOutcome, Error> {
     let c = &locked.circuit;
-    let probs = signal_probabilities(c, config.patterns, config.seed)?;
+    let probs = signal_probabilities(c, PATTERNS, SEED)?;
 
     // Nets downstream of key inputs.
     let fanouts = c.fanouts();
@@ -120,7 +106,7 @@ pub fn attack(locked: &LockedCircuit, config: &SpsConfig) -> Result<SpsOutcome, 
             }
             let p = probs[f.index()];
             let skew = (p - 0.5).abs();
-            if skew >= config.skew_threshold
+            if skew >= SKEW_THRESHOLD
                 && best.map(|(s, _, _)| skew > s).unwrap_or(true)
             {
                 best = Some((skew, f, p > 0.5));
@@ -206,7 +192,7 @@ mod tests {
     fn strips_anti_sat() {
         let original = samples::ripple_adder(5);
         let locked = anti_sat(&original, &AntiSatConfig { block_width: 6, seed: 2 }).unwrap();
-        let out = attack(&locked, &SpsConfig::default()).unwrap();
+        let out = attack(&locked).unwrap();
         let recovered = out.recovered.expect("Anti-SAT flip signal is skewed");
         assert!(out.skew > 0.45, "skew {}", out.skew);
         assert!(
@@ -228,7 +214,7 @@ mod tests {
             },
         )
         .unwrap();
-        let out = attack(&locked, &SpsConfig::default()).unwrap();
+        let out = attack(&locked).unwrap();
         if let Some(recovered) = out.recovered {
             // Even if something qualified, removal must not unlock.
             assert!(

@@ -1,10 +1,12 @@
 //! The engine refactor must not move a single bit: these goldens pin the
 //! exact iteration counts, oracle-query counts, and recovered keys the
 //! pre-engine free-function attacks produced, now reproduced through
-//! [`attacks::engine::run`]. They also pin the interrupt semantics: budgets
-//! stop attacks at the oracle boundary, cancels and deadlines stop them
-//! mid-solve, and an interrupted-then-resumed session lands on the same key
-//! by the same trajectory as an uninterrupted run.
+//! [`attacks::engine::run`], together with every solver work counter of
+//! each run, so a change to the solver's restart, reduction, minimization
+//! or inprocessing schedule shows up here. They also pin the interrupt
+//! semantics: budgets stop attacks at the oracle boundary, cancels and
+//! deadlines stop them mid-solve, and an interrupted-then-resumed session
+//! lands on the same key by the same trajectory as an uninterrupted run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,8 +22,11 @@ use attacks::hill_climbing::{HillClimbConfig, HillClimbEngine};
 use attacks::sat::{SatAttackConfig, SatEngine};
 use attacks::sensitization::{SensitizationConfig, SensitizationEngine};
 use attacks::{CombOracle, FailureReason, Oracle};
+use cdcl::SolverStats;
 use locking::random::RllConfig;
+use locking::weighted::WllConfig;
 use locking::LockedCircuit;
+use netlist::generate::{self, BenchmarkId};
 use netlist::samples;
 
 fn rll(circuit: &netlist::Circuit, key_bits: usize, seed: u64) -> LockedCircuit {
@@ -33,13 +38,15 @@ fn key_string(key: &[bool]) -> String {
 }
 
 /// Runs `engine` through the unified driver and asserts the exact golden
-/// (iterations, oracle queries, key bits) captured from the pre-engine code.
+/// (iterations, oracle queries, key bits) captured from the pre-engine code,
+/// plus the solver's cumulative statistics.
 fn assert_golden(
     engine: &dyn AttackEngine,
     locked: &LockedCircuit,
     iterations: usize,
     queries: usize,
     key: &str,
+    solver: SolverStats,
 ) {
     let mut oracle = CombOracle::from_locked(locked).expect("valid lock");
     let out = engine::run(engine, locked, &mut oracle, &mut AttackCtl::new());
@@ -49,33 +56,120 @@ fn assert_golden(
         panic!("{}: expected key, got failure {:?}", engine.name(), out.failure)
     }));
     assert_eq!(got, key, "{}: recovered key", engine.name());
+    assert_eq!(out.telemetry.solver, solver, "{}: solver stats", engine.name());
 }
 
 #[test]
 fn sat_goldens_are_bit_identical_to_pre_engine_attack() {
     let e = SatEngine { config: SatAttackConfig::default() };
-    assert_golden(&e, &rll(&samples::ripple_adder(4), 8, 3), 4, 4, "00010100");
+    let stats = SolverStats {
+        solves: 6,
+        decisions: 208,
+        propagations: 1077,
+        conflicts: 40,
+        learned_clauses: 40,
+        learned_literals_pre: 154,
+        learned_literals_post: 149,
+        ..SolverStats::default()
+    };
+    assert_golden(&e, &rll(&samples::ripple_adder(4), 8, 3), 4, 4, "00010100", stats);
     let comb = netlist::generate::random_comb(41, 10, 6, 150).unwrap();
-    assert_golden(&e, &rll(&comb, 12, 7), 6, 6, "000011101111");
+    let stats = SolverStats {
+        solves: 8,
+        decisions: 2960,
+        propagations: 176_686,
+        conflicts: 2034,
+        restarts: 3,
+        learned_clauses: 2034,
+        learned_literals_pre: 62_659,
+        learned_literals_post: 55_123,
+        db_reductions: 1,
+        clauses_deleted: 40,
+        inprocessings: 1,
+        subsumed_clauses: 250,
+        strengthened_clauses: 2348,
+        eliminated_vars: 215,
+        restored_vars: 0,
+        vivified_literals: 488,
+        chrono_backtracks: 0,
+        restarts_blocked: 242,
+        restarts_forced: 3,
+    };
+    assert_golden(&e, &rll(&comb, 12, 7), 6, 6, "000011101111", stats);
+}
+
+/// The SAT smoke bench's b19 lock (WLL, 12 key bits, control width 5): a
+/// single DIP, but a search long enough that EMA restarts, learnt-clause
+/// DB reductions, clause minimization and inprocessing all run, so the
+/// counters pin the solver's whole default schedule.
+#[test]
+fn sat_golden_pins_the_solver_schedule_on_the_b19_smoke_lock() {
+    let id = BenchmarkId::B19;
+    let design = generate::synthesize(&generate::profile(id).scaled(0.003)).unwrap();
+    let lock = WllConfig { key_bits: 12, control_width: 5, seed: 0x5A7 ^ id as u64 };
+    let locked = locking::weighted::lock(&design, &lock).unwrap();
+    let stats = SolverStats {
+        solves: 3,
+        decisions: 17_392,
+        propagations: 1_120_785,
+        conflicts: 13_132,
+        restarts: 31,
+        learned_clauses: 13_132,
+        learned_literals_pre: 459_294,
+        learned_literals_post: 415_137,
+        db_reductions: 5,
+        clauses_deleted: 6603,
+        inprocessings: 2,
+        subsumed_clauses: 1190,
+        strengthened_clauses: 4299,
+        eliminated_vars: 460,
+        restored_vars: 0,
+        vivified_literals: 178,
+        chrono_backtracks: 0,
+        restarts_blocked: 765,
+        restarts_forced: 31,
+    };
+    assert_golden(&SatEngine::default(), &locked, 1, 1, "111110010111", stats);
 }
 
 #[test]
 fn appsat_golden_is_bit_identical_to_pre_engine_attack() {
     let e = AppSatEngine { config: AppSatConfig::default() };
-    assert_golden(&e, &rll(&samples::ripple_adder(4), 8, 9), 3, 3, "11011011");
+    let stats = SolverStats {
+        solves: 5,
+        decisions: 171,
+        propagations: 1254,
+        conflicts: 58,
+        learned_clauses: 58,
+        learned_literals_pre: 243,
+        learned_literals_post: 224,
+        ..SolverStats::default()
+    };
+    assert_golden(&e, &rll(&samples::ripple_adder(4), 8, 9), 3, 3, "11011011", stats);
 }
 
 #[test]
 fn double_dip_golden_is_bit_identical_to_pre_engine_attack() {
     let e = DoubleDipEngine { config: DoubleDipConfig::default() };
-    assert_golden(&e, &rll(&samples::ripple_adder(3), 6, 2), 3, 3, "011011");
+    let stats = SolverStats {
+        solves: 2,
+        decisions: 28,
+        propagations: 264,
+        conflicts: 15,
+        learned_clauses: 15,
+        learned_literals_pre: 66,
+        learned_literals_post: 60,
+        ..SolverStats::default()
+    };
+    assert_golden(&e, &rll(&samples::ripple_adder(3), 6, 2), 3, 3, "011011", stats);
 }
 
 #[test]
 fn hill_climbing_golden_is_bit_identical_to_pre_engine_attack() {
     let config = HillClimbConfig { seed: 0xC11B, ..Default::default() };
     let e = HillClimbEngine { config };
-    assert_golden(&e, &rll(&samples::ripple_adder(4), 8, 6), 3, 64, "10110110");
+    let locked = rll(&samples::ripple_adder(4), 8, 6);
+    assert_golden(&e, &locked, 3, 64, "10110110", SolverStats::default());
 }
 
 #[test]
@@ -83,7 +177,8 @@ fn sensitization_golden_is_bit_identical_to_pre_engine_attack() {
     let e = SensitizationEngine {
         config: SensitizationConfig { probes_per_bit: 16 },
     };
-    assert_golden(&e, &rll(&samples::ripple_adder(8), 3, 21), 48, 48, "111");
+    let locked = rll(&samples::ripple_adder(8), 3, 21);
+    assert_golden(&e, &locked, 48, 48, "111", SolverStats::default());
 }
 
 /// Records every stimulus an oracle answers, so the golden can pin the

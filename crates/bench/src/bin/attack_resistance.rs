@@ -154,8 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => {
                 // The oracle-less SPS removal attack (defeats Anti-SAT,
                 // nothing else).
-                let sps = attacks::sps::attack(locked, &attacks::sps::SpsConfig::default())
-                    .map_err(|e| e.to_string())?;
+                let sps = attacks::sps::attack(locked).map_err(|e| e.to_string())?;
                 let (recovered, correct) = match &sps.recovered {
                     Some(rec) => (
                         true,

@@ -211,7 +211,7 @@ pub fn attack(args: &[String]) -> Result<(), CliError> {
     let which = flag_value(args, "--attack").unwrap_or("sat");
     let outcome = match which {
         "sps" => {
-            let out = attacks::sps::attack(&locked, &attacks::sps::SpsConfig::default())?;
+            let out = attacks::sps::attack(&locked)?;
             match out.recovered {
                 Some(rec) => {
                     let ok = attacks::sps::recovery_is_correct(&locked, &rec, 4096)?;

@@ -41,7 +41,7 @@
 //! The battery takes the sabotage selector so the mutation harness can run
 //! the identical checks against a sabotaged solver.
 
-use cdcl::{CcMin, RestartMode, SolveResult, Solver, SolverConfig, SolverSabotage};
+use cdcl::{SolveResult, Solver, SolverConfig, SolverSabotage};
 use netlist::rng::SplitMix64;
 
 /// One clause as (variable index, polarity) pairs; `true` = positive.
@@ -59,15 +59,12 @@ fn fresh_solver(sabotage: Option<SolverSabotage>) -> Solver {
 /// any of it under the defaults.
 fn aggressive_solver(sabotage: Option<SolverSabotage>) -> Solver {
     let mut s = Solver::with_config(SolverConfig {
-        restart_mode: RestartMode::Ema,
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        ccmin: CcMin::Deep,
         chrono_threshold: 1,
         inprocess_trigger: 1,
         inprocess_min_clauses: 0,
-        ..SolverConfig::default()
     });
     s.set_sabotage(sabotage);
     s
@@ -79,11 +76,9 @@ fn aggressive_solver(sabotage: Option<SolverSabotage>) -> Solver {
 /// that leaves the formulas intact.
 fn chrono_solver(sabotage: Option<SolverSabotage>) -> Solver {
     let mut s = Solver::with_config(SolverConfig {
-        restart_mode: RestartMode::Ema,
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        ccmin: CcMin::Deep,
         chrono_threshold: 1,
         inprocess_trigger: 0,
         ..SolverConfig::default()

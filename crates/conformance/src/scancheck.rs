@@ -20,10 +20,9 @@ use attacks::engine::{self, AttackCtl};
 use attacks::sat::SatAttackConfig;
 use attacks::{verify, CombOracle, Oracle};
 use cdcl::{SolveResult, Solver};
-use locking::kgate::{self, KGateConfig, KGateSabotage};
+use locking::kgate::{self, KGateConfig};
 use locking::scan_obfuscation::{
-    self, ObfScanSim, ScanObfConfig, ScanObfLocked, UnrollOptions, UnrollSabotage,
-    UnrolledSession,
+    self, ObfScanSim, ScanObfConfig, ScanObfLocked, StageKind, UnrollOptions, UnrolledSession,
 };
 use netlist::rng::SplitMix64;
 use netlist::Circuit;
@@ -33,15 +32,18 @@ use crate::reference;
 
 /// Test-only semantic faults in the scan-obfuscation scheme/attack stack,
 /// united here so the mutation kill matrix drives all three through one
-/// battery. The scheme faults map onto the hook in their home crate; the
-/// attack fault is `FrameDropOracle`, planted between chip and attack.
+/// battery. Each is planted as a corruption of the battery's own inputs,
+/// so production code carries no hook for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanSabotage {
-    /// [`UnrollSabotage::WrongHopPermutation`] in the session unroller.
+    /// The session unroller sees every swap stage one hop too early
+    /// (`pos - 1` instead of `pos`, the classic off-by-one in chain-hop
+    /// bookkeeping), while the chip model keeps the real design.
     WrongHopPermutation,
     /// `FrameDropOracle` between the chip oracle and DynUnlock.
     DropUnrollFrame,
-    /// [`KGateSabotage::DecodeTableSwap`] in the K-Gate key bookkeeping.
+    /// The recorded K-Gate key has the decode-table words of classes 0 and
+    /// 1 swapped, while the netlist keeps the true table.
     DecodeTableSwap,
 }
 
@@ -122,13 +124,22 @@ impl Oracle for FrameDropOracle<'_> {
     }
 }
 
-fn unroll_with(
-    locked: &ScanObfLocked,
-    sabotage: Option<UnrollSabotage>,
-) -> UnrolledSession {
+fn unroll(locked: &ScanObfLocked) -> UnrolledSession {
     locked
-        .unroll(&UnrollOptions { sabotage, ..UnrollOptions::default() })
+        .unroll(&UnrollOptions::default())
         .expect("unroll succeeds on a lockable workload")
+}
+
+/// The wrong-hop mutant's view of the design: every swap stage one hop
+/// earlier.
+fn wrong_hop(locked: &ScanObfLocked) -> ScanObfLocked {
+    let mut shifted = locked.clone();
+    for st in &mut shifted.stages {
+        if st.kind == StageKind::Swap {
+            st.pos = st.pos.saturating_sub(1);
+        }
+    }
+    shifted
 }
 
 /// Runs the scan-obfuscation battery, optionally with one planted fault.
@@ -139,11 +150,6 @@ fn unroll_with(
 ///
 /// Returns the first failing check's description.
 pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), String> {
-    let kg_sab = (sabotage == Some(ScanSabotage::DecodeTableSwap))
-        .then_some(KGateSabotage::DecodeTableSwap);
-    let unroll_sab = (sabotage == Some(ScanSabotage::WrongHopPermutation))
-        .then_some(UnrollSabotage::WrongHopPermutation);
-
     let (kg_patterns, diff_trials, full_workloads) = match scale {
         Scale::Smoke => (256, 12, false),
         Scale::Full => (1024, 48, true),
@@ -155,8 +161,12 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
     // classes.)
     let kg_original = netlist::samples::ripple_adder(4);
     let kg_config = KGateConfig { classes: 4, word_bits: 3, seed: 7 };
-    let kg_locked = kgate::lock_with_sabotage(&kg_original, &kg_config, kg_sab)
+    let mut kg_locked = kgate::lock(&kg_original, &kg_config)
         .map_err(|e| format!("kgate lock failed: {e}"))?;
+    if sabotage == Some(ScanSabotage::DecodeTableSwap) {
+        let (word0, word1) = kg_locked.correct_key.split_at_mut(kg_config.word_bits);
+        word0.swap_with_slice(&mut word1[..kg_config.word_bits]);
+    }
     match kg_locked.verify_against(&kg_original, kg_patterns) {
         Ok(true) => {}
         Ok(false) => {
@@ -190,7 +200,11 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
         workloads.push(hidden_state_workload());
     }
     for (wi, (orig, locked)) in workloads.iter().enumerate() {
-        let unrolled = unroll_with(locked, unroll_sab);
+        let unrolled = if sabotage == Some(ScanSabotage::WrongHopPermutation) {
+            unroll(&wrong_hop(locked))
+        } else {
+            unroll(locked)
+        };
 
         // Check 3: sequential differential leg — the unrolled combinational
         // session, evaluated by the *naive reference interpreter*, must
@@ -255,7 +269,7 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
         // (Kills the dropped unroll frame: misaligned constraints rule out
         // the true seed.)
         {
-            let clean_unroll = unroll_with(locked, None);
+            let clean_unroll = unroll(locked);
             let mut chip = ScanSessionOracle::new(locked, &clean_unroll)
                 .map_err(|e| format!("workload {wi}: session oracle: {e}"))?;
             let mut dropping;
@@ -269,10 +283,7 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
                 &mut chip
             };
             let engine = DynUnlockEngine {
-                config: SatAttackConfig {
-                    max_iterations: 64,
-                    ..SatAttackConfig::default()
-                },
+                config: SatAttackConfig { max_iterations: 64 },
             };
             let out = engine::run(&engine, &clean_unroll.locked, oracle, &mut AttackCtl::new());
             let key = out.key.ok_or_else(|| {

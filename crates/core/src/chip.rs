@@ -590,11 +590,6 @@ impl ProtectedChipOracle {
         }
     }
 
-    /// Access to the underlying chip (white-box, for experiments).
-    pub fn chip_mut(&mut self) -> &mut ProtectedChip {
-        &mut self.chip
-    }
-
     /// Performs the raw scan-based query and returns whatever the chip
     /// produces (primary outputs ++ captured state-FF image), regardless of
     /// mode. This is the locked response on an honest chip.

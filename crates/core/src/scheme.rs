@@ -55,6 +55,10 @@ impl UnlockStimulus {
     }
 }
 
+/// Seeds in the key sequence (auto-raised until the GF(2) system is
+/// solvable, up to 4× this value).
+const UNLOCK_SEEDS: usize = 4;
+
 /// OraP configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrapConfig {
@@ -64,9 +68,6 @@ pub struct OrapConfig {
     pub unlock_stimulus: UnlockStimulus,
     /// New feedback tap every this many LFSR cells (the paper uses 8).
     pub tap_spacing: usize,
-    /// Seeds in the key sequence (auto-raised until the GF(2) system is
-    /// solvable, up to 4× this value).
-    pub unlock_seeds: usize,
     /// Free-run cycles after each seed (Basic variant; the Modified variant
     /// injects responses on every cycle, so "free run" means an all-zero
     /// memory word).
@@ -83,7 +84,6 @@ impl Default for OrapConfig {
             variant: OrapVariant::Basic,
             unlock_stimulus: UnlockStimulus::AllOnes,
             tap_spacing: 8,
-            unlock_seeds: 4,
             free_run: 2,
             scan_chains: 4,
             seed: 0x0DA7,
@@ -196,23 +196,6 @@ impl OrapProtected {
             OrapVariant::Basic => self.key_sequence.len() * (1 + self.free_run),
             OrapVariant::Modified => self.key_sequence.len(),
         }
-    }
-
-    /// The FF trajectory injected at the response points during an honest
-    /// unlock (one vector per cycle), from the chip-accurate coupled
-    /// simulation. Empty for the Basic variant.
-    pub fn honest_response_stream(&self, design: &Circuit) -> Vec<Vec<bool>> {
-        let (stream, _) = simulate_modified_unlock(
-            design,
-            &self.locked,
-            &self.lfsr,
-            &self.memory_points,
-            &self.response_points,
-            &self.response_ffs,
-            &self.key_sequence,
-            self.unlock_stimulus,
-        );
-        stream
     }
 }
 
@@ -370,8 +353,8 @@ fn protect_basic(
     let memory_points: Vec<usize> = lfsr.reseed_points.clone();
 
     // Solve for seeds; extend the schedule if the map lacks rank.
-    let mut seeds_count = config.unlock_seeds.max(1);
-    let max_seeds = (config.unlock_seeds.max(1)) * 4;
+    let mut seeds_count = UNLOCK_SEEDS;
+    let max_seeds = UNLOCK_SEEDS * 4;
     loop {
         let shape = KeySequence::new(
             vec![vec![false; memory_points.len()]; seeds_count],
@@ -536,7 +519,7 @@ fn protect_modified(
 
         // Head: enough zero cycles that the schedule looks like the paper's
         // multi-seed process (and gives the response stream time to mix).
-        let head = (config.unlock_seeds.max(1) * 2).max(4);
+        let head = UNLOCK_SEEDS * 2;
         let cycles = head + k;
         let zero_seeds = vec![vec![false; m]; cycles];
         let (stream, _) = simulate_modified_unlock(

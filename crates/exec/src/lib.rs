@@ -1,5 +1,5 @@
-//! Hermetic execution runtime: a std-only scoped thread pool with a
-//! *deterministic* chunked `par_map`/`par_reduce` API.
+//! Hermetic execution runtime: a std-only scoped thread pool with
+//! *deterministic* data-parallel primitives.
 //!
 //! Every experiment in the paper's Tables I/II — fault-coverage ATPG runs,
 //! Hamming-distance corruption sweeps, and the oracle-guided attack
@@ -11,11 +11,11 @@
 //! - [`Pool`]: a scoped thread pool whose worker count comes from the
 //!   `ORAP_THREADS` environment variable (default:
 //!   [`std::thread::available_parallelism`]).
-//! - [`Pool::par_map`] / [`Pool::par_chunks`] / [`Pool::par_reduce`]:
-//!   data-parallel primitives with **fixed chunk assignment**: chunk
-//!   boundaries are a function of the input length only, never of the
-//!   thread count, so results are bit-identical whether the pool runs 1, 2
-//!   or 64 threads.
+//! - [`Pool::par_map`] / [`Pool::par_chunks_stealing`]: data-parallel
+//!   primitives whose results never depend on the thread count: element
+//!   and chunk boundaries come from the data, and results are collected in
+//!   input order, so they are bit-identical whether the pool runs 1, 2 or
+//!   64 threads.
 //! - [`PoolStats`]: lightweight per-stage observability counters (tasks
 //!   run, busy/idle time, wall time), exported as JSON by the `orap-bench`
 //!   harness next to every experiment's results.
@@ -24,9 +24,8 @@
 //!
 //! `par_map` applies a pure function per element and collects results in
 //! input order — identical output for any thread count by construction.
-//! `par_reduce` folds each fixed chunk sequentially and then folds the
-//! per-chunk results *in chunk order*, so even non-associative folds (e.g.
-//! floating-point sums) give the same bits on every run and thread count.
+//! `par_chunks_stealing` does the same per caller-cut chunk; which worker
+//! runs which chunk affects scheduling counters only.
 //!
 //! # Example
 //!
@@ -34,8 +33,6 @@
 //! let pool = exec::Pool::with_threads(4);
 //! let squares = pool.par_map("squares", &[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! let sum = pool.par_reduce("sum", &squares, 0u64, |_, &x| x, |a, b| a + b);
-//! assert_eq!(sum, 30);
 //! ```
 
 #![warn(missing_docs)]
@@ -47,18 +44,6 @@ use std::time::{Duration, Instant};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "ORAP_THREADS";
 
-/// Number of chunks `par_reduce` splits its input into (a function of the
-/// input length only — see [`reduce_chunk_size`]).
-const REDUCE_CHUNKS: usize = 64;
-
-/// The chunk size [`Pool::par_reduce`] uses for an input of `len` elements.
-///
-/// Depends on the input length only — never on the thread count — which is
-/// what makes reduction results bit-identical across pool sizes.
-pub fn reduce_chunk_size(len: usize) -> usize {
-    len.div_ceil(REDUCE_CHUNKS).max(1)
-}
-
 /// Accumulated counters for one named stage (one `par_*` call site).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageStats {
@@ -66,7 +51,7 @@ pub struct StageStats {
     pub label: String,
     /// Number of `par_*` invocations recorded under this label.
     pub calls: u64,
-    /// Work items (map elements, chunks, or reduce chunks) executed.
+    /// Work items (map elements or chunks) executed.
     pub tasks: u64,
     /// Wall-clock nanoseconds spent inside the `par_*` calls.
     pub wall_ns: u64,
@@ -283,33 +268,6 @@ impl Pool {
         self.run_indexed(label, items.len(), |i| f(i, &items[i]))
     }
 
-    /// Applies `f` to fixed slices of `chunk_size` consecutive elements
-    /// (the last chunk may be shorter), returning per-chunk results in
-    /// chunk order.
-    ///
-    /// Use this when a task needs per-chunk setup (cloning a simulator,
-    /// seeding an RNG) amortized over many elements. Pick `chunk_size` from
-    /// the *data* (e.g. [`reduce_chunk_size`]), never from the thread
-    /// count, to keep results thread-count independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn par_chunks<T, R, F>(&self, label: &str, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let n = items.len().div_ceil(chunk_size);
-        self.run_indexed(label, n, |k| {
-            let start = k * chunk_size;
-            let end = (start + chunk_size).min(items.len());
-            f(k, &items[start..end])
-        })
-    }
-
     /// Applies `f` to *variable-width* chunks of `items` with per-worker
     /// reusable state, scheduling chunks by work-stealing.
     ///
@@ -420,37 +378,6 @@ impl Pool {
             .map(|r| r.expect("every chunk executed"))
             .collect()
     }
-
-    /// Maps every element with `map` and folds the results with `fold`.
-    ///
-    /// The input is split into [`reduce_chunk_size`]-sized chunks; each
-    /// chunk is folded sequentially in element order, and the per-chunk
-    /// results are then folded **in chunk order** starting from `identity`.
-    /// Because the chunk boundaries depend only on `items.len()`, the
-    /// result is bit-identical for every thread count — including
-    /// non-associative folds such as floating-point addition. For an
-    /// associative `fold` with a true identity, the result equals the
-    /// sequential `items.iter().fold(...)`.
-    pub fn par_reduce<T, A, M, F>(&self, label: &str, items: &[T], identity: A, map: M, fold: F) -> A
-    where
-        T: Sync,
-        A: Send,
-        M: Fn(usize, &T) -> A + Sync,
-        F: Fn(A, A) -> A + Sync,
-    {
-        let chunk = reduce_chunk_size(items.len());
-        let partials = self.par_chunks(label, items, chunk, |k, slice| {
-            let base = k * chunk;
-            let mut it = slice.iter().enumerate();
-            let (j0, first) = it.next().expect("chunks are non-empty");
-            let mut acc = map(base + j0, first);
-            for (j, x) in it {
-                acc = fold(acc, map(base + j, x));
-            }
-            acc
-        });
-        partials.into_iter().fold(identity, &fold)
-    }
 }
 
 impl Default for Pool {
@@ -486,47 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_element_once() {
-        let pool = Pool::with_threads(4);
-        let items: Vec<usize> = (0..103).collect();
-        let chunks = pool.par_chunks("c", &items, 10, |k, slice| (k, slice.to_vec()));
-        let flat: Vec<usize> = chunks.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        assert_eq!(flat, items);
-        assert_eq!(chunks.len(), 11);
-        assert_eq!(chunks.last().unwrap().1.len(), 3);
-    }
-
-    #[test]
-    fn par_reduce_matches_sequential_sum() {
-        let items: Vec<u64> = (0..1500).map(|i| i * i + 7).collect();
-        let expect: u64 = items.iter().sum();
-        for threads in [1, 2, 8] {
-            let pool = Pool::with_threads(threads);
-            let got = pool.par_reduce("sum", &items, 0u64, |_, &x| x, |a, b| a + b);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_float_bits_identical_across_thread_counts() {
-        // 0.1-style values make float addition order-sensitive; the chunked
-        // fold must still give the same bits for every thread count.
-        let items: Vec<f64> = (0..977).map(|i| (i as f64) * 0.1 + 0.3).collect();
-        let reference = Pool::with_threads(1).par_reduce("f", &items, 0.0f64, |_, &x| x, |a, b| a + b);
-        for threads in [2, 3, 8, 17] {
-            let pool = Pool::with_threads(threads);
-            let got = pool.par_reduce("f", &items, 0.0f64, |_, &x| x, |a, b| a + b);
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn stats_accumulate_per_stage() {
         let pool = Pool::with_threads(2);
         let items: Vec<u32> = (0..100).collect();
         let _ = pool.par_map("stage_a", &items, |_, &x| x);
         let _ = pool.par_map("stage_a", &items, |_, &x| x);
-        let _ = pool.par_reduce("stage_b", &items, 0u32, |_, &x| x, |a, b| a.wrapping_add(b));
+        let _ = pool.par_map("stage_b", &items, |_, &x| x);
         let stats = pool.stats();
         assert_eq!(stats.threads, 2);
         let a = stats.stages.iter().find(|s| s.label == "stage_a").unwrap();
@@ -553,15 +445,6 @@ mod tests {
     fn with_threads_floors_at_one() {
         assert_eq!(Pool::with_threads(0).threads(), 1);
         assert_eq!(Pool::with_threads(5).threads(), 5);
-    }
-
-    #[test]
-    fn reduce_chunk_size_depends_on_len_only() {
-        assert_eq!(reduce_chunk_size(0), 1);
-        assert_eq!(reduce_chunk_size(1), 1);
-        assert_eq!(reduce_chunk_size(64), 1);
-        assert_eq!(reduce_chunk_size(65), 2);
-        assert_eq!(reduce_chunk_size(6400), 100);
     }
 
     #[test]

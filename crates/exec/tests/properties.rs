@@ -1,30 +1,11 @@
-//! Property-based tests (qcheck): the deterministic chunked parallel
-//! primitives agree with their sequential counterparts on random inputs.
+//! Property-based tests (qcheck): the deterministic parallel primitives
+//! agree with their sequential counterparts on random inputs.
 
 use exec::Pool;
 use qcheck::{any_u64, vec_of};
 
 qcheck::props! {
     config = qcheck::Config::with_cases(48);
-
-    /// Chunked parallel reduce equals the sequential fold for any input
-    /// and any thread count (wrapping-add is associative, so the chunked
-    /// fold must coincide exactly with the element-order fold).
-    fn par_reduce_equals_sequential_fold(
-        items in vec_of(any_u64(), 0..400),
-        threads in 1usize..9,
-    ) {
-        let pool = Pool::with_threads(threads);
-        let expect = items.iter().fold(0u64, |a, &x| a.wrapping_add(x));
-        let got = pool.par_reduce(
-            "prop_sum",
-            &items,
-            0u64,
-            |_, &x| x,
-            |a, b| a.wrapping_add(b),
-        );
-        qcheck::prop_assert_eq!(got, expect);
-    }
 
     /// `par_map` output equals the sequential map in order, for any thread
     /// count.
@@ -42,18 +23,5 @@ qcheck::props! {
             x.rotate_left((i % 64) as u32) ^ 0x9E37_79B9
         });
         qcheck::prop_assert_eq!(got, expect);
-    }
-
-    /// `par_chunks` partitions the input exactly: concatenating the chunk
-    /// slices in chunk order reproduces the input.
-    fn par_chunks_partition_input(
-        items in vec_of(any_u64(), 0..300),
-        chunk in 1usize..50,
-        threads in 1usize..9,
-    ) {
-        let pool = Pool::with_threads(threads);
-        let chunks = pool.par_chunks("prop_chunks", &items, chunk, |_, s| s.to_vec());
-        let flat: Vec<u64> = chunks.into_iter().flatten().collect();
-        qcheck::prop_assert_eq!(flat, items);
     }
 }

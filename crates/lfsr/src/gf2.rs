@@ -208,15 +208,6 @@ impl BitMatrix {
         &self.data[r]
     }
 
-    /// Mutably borrows row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn row_mut(&mut self, r: usize) -> &mut BitVec {
-        &mut self.data[r]
-    }
-
     /// Matrix–vector product `self * v`.
     ///
     /// # Panics

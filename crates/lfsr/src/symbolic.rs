@@ -32,11 +32,6 @@ impl SymbolicState {
         SymbolicState { coeffs, consts }
     }
 
-    /// The coefficient matrix (cells × seed bits).
-    pub fn coefficients(&self) -> &BitMatrix {
-        &self.coeffs
-    }
-
     /// Number of seed variables appearing in cell `i`'s expression.
     pub fn terms_of_cell(&self, i: usize) -> usize {
         self.coeffs.row(i).count_ones() + usize::from(self.consts.get(i))

@@ -49,15 +49,6 @@ pub struct KGateConfig {
     pub seed: u64,
 }
 
-/// Test-only mutation hook for the conformance kill matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KGateSabotage {
-    /// Record the decode-table rows of classes 0 and 1 swapped in the
-    /// `correct_key`, while the netlist keeps the unswapped table — the
-    /// recorded key no longer decodes its classes.
-    DecodeTableSwap,
-}
-
 /// Applies K-Gate Lock to `original`.
 ///
 /// # Errors
@@ -67,20 +58,6 @@ pub enum KGateSabotage {
 /// `log2(classes) + word_bits` combinational inputs (selector and target
 /// inputs are disjoint).
 pub fn lock(original: &Circuit, config: &KGateConfig) -> Result<LockedCircuit, Error> {
-    lock_with_sabotage(original, config, None)
-}
-
-/// [`lock`] with an optional planted fault (test-only; the conformance
-/// kill matrix drives this).
-///
-/// # Errors
-///
-/// Same conditions as [`lock`].
-pub fn lock_with_sabotage(
-    original: &Circuit,
-    config: &KGateConfig,
-    sabotage: Option<KGateSabotage>,
-) -> Result<LockedCircuit, Error> {
     if config.classes < 2 || !config.classes.is_power_of_two() {
         return Err(Error::BadProfile(format!(
             "kgate classes must be a power of two >= 2, got {}",
@@ -187,19 +164,10 @@ pub fn lock_with_sabotage(
         }
     }
 
-    let mut correct_key: Vec<bool> = table.iter().flatten().copied().collect();
-    if sabotage == Some(KGateSabotage::DecodeTableSwap) {
-        // The netlist keeps table rows 0 and 1 in place; only the recorded
-        // key swaps them — a decode-table bookkeeping fault.
-        for j in 0..config.word_bits {
-            correct_key.swap(j, config.word_bits + j);
-        }
-    }
-
     Ok(LockedCircuit {
         circuit: c,
         key_inputs,
-        correct_key,
+        correct_key: table.iter().flatten().copied().collect(),
         scheme: "kgate",
     })
 }
@@ -285,17 +253,5 @@ mod tests {
         assert!(lock(&original, &KGateConfig { classes: 2, word_bits: 0, seed: 0 }).is_err());
         // c17 has 5 inputs; 8 classes (3 selector bits) + 4 targets > 5.
         assert!(lock(&original, &KGateConfig { classes: 8, word_bits: 4, seed: 0 }).is_err());
-    }
-
-    #[test]
-    fn decode_table_swap_breaks_the_recorded_key() {
-        let original = samples::ripple_adder(4);
-        let config = KGateConfig { classes: 4, word_bits: 3, seed: 7 };
-        let clean = lock(&original, &config).unwrap();
-        let bad =
-            lock_with_sabotage(&original, &config, Some(KGateSabotage::DecodeTableSwap)).unwrap();
-        // The planted fault must be semantic for this config: rows differ.
-        assert_ne!(clean.correct_key, bad.correct_key);
-        assert!(!bad.verify_against(&original, 512).unwrap());
     }
 }

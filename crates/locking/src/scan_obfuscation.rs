@@ -335,16 +335,6 @@ impl ObfScanSim {
     }
 }
 
-/// Test-only mutation hook for the conformance kill matrix, planted in the
-/// *unroller* only — the chip model stays correct, so a sabotaged unroll
-/// disagrees with the real session behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnrollSabotage {
-    /// Model each swap stage one hop too early (`pos - 1` instead of `pos`),
-    /// the classic off-by-one in chain-hop bookkeeping.
-    WrongHopPermutation,
-}
-
 /// Bounds for [`ScanObfLocked::unroll`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrollOptions {
@@ -352,8 +342,6 @@ pub struct UnrollOptions {
     pub load_cycles: usize,
     /// Unload-phase shift cycles (`0` = the longest chain's length).
     pub unload_cycles: usize,
-    /// Optional planted fault (kill-matrix only).
-    pub sabotage: Option<UnrollSabotage>,
 }
 
 /// A bounded scan session unrolled into a combinational [`LockedCircuit`]
@@ -452,7 +440,7 @@ impl ScanObfLocked {
         let mut observed: Vec<NetId> = Vec::new();
 
         for (t, sins) in sin.iter().enumerate() {
-            let outs = self.sym_shift(&mut c, &lstates[t], &mut cells, sins, zero, opts.sabotage, t)?;
+            let outs = self.sym_shift(&mut c, &lstates[t], &mut cells, sins, zero, t)?;
             observed.extend(outs);
         }
 
@@ -475,7 +463,7 @@ impl ScanObfLocked {
         let zeros_in = vec![zero; nc];
         for u in 0..unload {
             let outs =
-                self.sym_shift(&mut c, &lstates[load + u], &mut cells, &zeros_in, zero, opts.sabotage, load + u)?;
+                self.sym_shift(&mut c, &lstates[load + u], &mut cells, &zeros_in, zero, load + u)?;
             observed.extend(outs);
         }
 
@@ -503,7 +491,6 @@ impl ScanObfLocked {
 
     /// Symbolic mirror of one [`ObfScanSim::shift_clock`]: plain shift of
     /// the `cells` nets, then stage logic under the cycle's LFSR state nets.
-    #[allow(clippy::too_many_arguments)]
     fn sym_shift(
         &self,
         c: &mut Circuit,
@@ -511,7 +498,6 @@ impl ScanObfLocked {
         cells: &mut [NetId],
         sin: &[NetId],
         zero: NetId,
-        sabotage: Option<UnrollSabotage>,
         t: usize,
     ) -> Result<Vec<NetId>, Error> {
         let mut outs = Vec::with_capacity(self.chains.num_chains());
@@ -546,12 +532,7 @@ impl ScanObfLocked {
                     }
                 }
                 StageKind::Swap => {
-                    let pos = if sabotage == Some(UnrollSabotage::WrongHopPermutation) {
-                        st.pos.saturating_sub(1)
-                    } else {
-                        st.pos
-                    };
-                    let (a_ff, b_ff) = (chain[pos], chain[pos + 1]);
+                    let (a_ff, b_ff) = (chain[st.pos], chain[st.pos + 1]);
                     let (a, b) = (cells[a_ff], cells[b_ff]);
                     let ns = c.add_gate(GateKind::Not, vec![s], format!("swn_{t}_{si}"))?;
                     let sa = c.add_gate(GateKind::And, vec![s, b], format!("swa_{t}_{si}"))?;
@@ -682,30 +663,6 @@ mod tests {
             &ScanObfConfig { invert_spacing: 0, swap_spacing: 0, ..ScanObfConfig::balanced(8, 0) }
         )
         .is_err());
-    }
-
-    #[test]
-    fn wrong_hop_sabotage_changes_the_unrolled_function() {
-        let orig = samples::counter(8);
-        let locked = lock(&orig, &cfg()).unwrap();
-        let clean = locked.unroll(&UnrollOptions::default()).unwrap();
-        let bad = locked
-            .unroll(&UnrollOptions {
-                sabotage: Some(UnrollSabotage::WrongHopPermutation),
-                ..UnrollOptions::default()
-            })
-            .unwrap();
-        let sim_c = CombSim::new(&clean.locked.circuit).unwrap();
-        let sim_b = CombSim::new(&bad.locked.circuit).unwrap();
-        let mut rng = SplitMix64::new(23);
-        let n = clean.locked.circuit.comb_inputs().len() - clean.locked.key_inputs.len();
-        let mut differed = false;
-        for _ in 0..64 {
-            let mut x = locked.correct_key.clone();
-            x.extend((0..n).map(|_| rng.bool()));
-            differed |= sim_c.eval_bools(&x) != sim_b.eval_bools(&x);
-        }
-        assert!(differed, "the planted wrong-hop fault must be semantic");
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! - two-watched-literal unit propagation over a flat clause arena, with
 //!   blocker literals and dedicated binary-clause watch lists (a binary
 //!   visit touches no clause memory at all),
-//! - first-UIP conflict-driven clause learning with configurable
-//!   learnt-clause minimization ([`CcMin`]: none, local, or recursive
-//!   MiniSat `ccmin-mode=2`-style),
+//! - first-UIP conflict-driven clause learning with local learnt-clause
+//!   minimization (a literal goes when its reason clause is absorbed),
 //! - exponential VSIDS branching with phase saving,
-//! - adaptive restarts: Glucose-style EMA blocking/forcing restarts by
-//!   default, classic Luby as a fallback ([`RestartMode`]),
+//! - adaptive restarts: Glucose-style EMA blocking/forcing restarts,
 //! - chronological backtracking for conflicts whose backjump would undo a
 //!   long stretch of still-consistent assignments,
 //! - literal-block-distance (LBD) tracking with glue-clause protection and
@@ -25,8 +23,8 @@
 //!   clauses or assumptions may mention eliminated variables freely,
 //! - incremental solving under assumptions, with clause addition between
 //!   calls (exactly what the attack's query loop needs),
-//! - optional conflict budgets (returning [`SolveResult::Unknown`]), used by
-//!   the approximate attacks,
+//! - optional conflict budgets and cooperative interrupts (a shared flag or
+//!   a deadline), all returning [`SolveResult::Unknown`],
 //! - cumulative search statistics ([`SolverStats`]) exported by the
 //!   experiment harness,
 //! - DIMACS CNF I/O ([`dimacs`]).
@@ -53,7 +51,6 @@ mod solver;
 mod types;
 
 pub use solver::{
-    CcMin, RestartMode, SolveResult, Solver, SolverConfig, SolverSabotage, SolverStats,
-    DEADLINE_CHECK_MASK,
+    SolveResult, Solver, SolverConfig, SolverSabotage, SolverStats, DEADLINE_CHECK_MASK,
 };
 pub use types::{Lit, Var};

@@ -138,9 +138,6 @@ impl Solver {
         self.arena[base] = header | FLAG_DELETED;
         self.wasted += HDR + (header & LEN_MASK) as usize;
         self.live_clauses -= 1;
-        if header & FLAG_LEARNT != 0 {
-            self.learnt_count -= 1;
-        }
     }
 
     /// Deletes a live attached clause, removing its watches eagerly.
@@ -336,7 +333,6 @@ impl Solver {
                         // never delete both (CaDiCaL's rule).
                         if c_learnt && dheader & FLAG_LEARNT == 0 {
                             self.arena[cbase] &= !(FLAG_LEARNT | FLAG_USED);
-                            self.learnt_count -= 1;
                             c_learnt = false;
                         }
                         self.delete_clause(d);

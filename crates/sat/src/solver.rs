@@ -46,7 +46,7 @@ const REASON_NONE: ClauseRef = u32::MAX;
 // The header packs the length with three flag bits. `lbd` is the
 // literal-block distance: distinct decision levels in the clause at learn
 // time, refreshed whenever the clause participates in conflict analysis;
-// glue clauses (`lbd <= glue_lbd`) are never deleted.
+// glue clauses (`lbd <= GLUE_LBD`) are never deleted.
 const HDR: usize = 3;
 const LEN_MASK: u32 = 0x0FFF_FFFF;
 const FLAG_LEARNT: u32 = 1 << 28;
@@ -64,69 +64,33 @@ struct Watch {
     blocker: Lit,
 }
 
-/// Learned-clause minimization mode (MiniSat's `ccmin-mode`).
-///
-/// `Deep` removes the most literals but walks the implication graph for
-/// every candidate; on the incremental miter proofs of the SAT-attack
-/// family the walk costs more than the shorter clauses save, so the
-/// default is `Basic` (see `EXPERIMENTS.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CcMin {
-    /// Keep first-UIP clauses as derived.
-    None,
-    /// Local check: a literal is redundant if its reason clause is already
-    /// absorbed by the learnt clause.
-    Basic,
-    /// Recursive check through the implication graph (MiniSat
-    /// `ccmin-mode=2`).
-    Deep,
-}
+/// Learnt clauses with LBD at or below this are *glue* clauses and are never
+/// deleted by DB reduction.
+const GLUE_LBD: u32 = 2;
+/// VSIDS variable-activity decay: the activity increment is divided by this
+/// after each conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Clause-activity decay, applied the same way.
+const CLA_DECAY: f32 = 0.999;
 
-/// Restart strategy (see [`SolverConfig::restart_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RestartMode {
-    /// Static Luby sequence scaled by [`SolverConfig::restart_base`].
-    Luby,
-    /// Glucose-style dynamic restarts driven by exponential moving averages
-    /// of conflict LBDs: a restart is *forced* when the fast LBD average
-    /// exceeds the slow one (recent conflicts are unusually bad), and
-    /// *blocked* when the trail is much deeper than its long-run average
-    /// (the search may be closing in on a model).
-    Ema,
-}
-
-/// Tunable search parameters, all with MiniSat/Glucose-class defaults.
+/// Search schedule parameters, all with MiniSat/Glucose-class defaults.
 ///
-/// The knobs are read at each [`Solver::solve_with`] call, so they can be
-/// adjusted between incremental solves. See `EXPERIMENTS.md` ("Solver
-/// knobs") for guidance on when to change them.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Production solves run the defaults. Tests lower these so inprocessing,
+/// chronological backtracking, EMA restarts and learnt-clause DB reduction
+/// fire on tiny formulas (see `EXPERIMENTS.md`, "Solver knobs").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Restart strategy. [`RestartMode::Ema`] (the default) adapts the
-    /// restart rate to conflict quality; [`RestartMode::Luby`] is the
-    /// classic static schedule.
-    pub restart_mode: RestartMode,
     /// Minimum conflicts between EMA restart decisions (both forcing and
-    /// blocking). Only read in [`RestartMode::Ema`].
+    /// blocking). Restarts are Glucose-style: *forced* when the fast
+    /// average of conflict LBDs exceeds the slow one (recent conflicts are
+    /// unusually bad), *blocked* when the trail is much deeper than its
+    /// long-run average (the search may be closing in on a model).
     pub restart_min_interval: u64,
-    /// Luby restart unit: the restart interval is `luby(i) * restart_base`
-    /// conflicts. Smaller values restart more aggressively.
-    pub restart_base: u64,
-    /// Learnt clauses with LBD at or below this are *glue* clauses and are
-    /// never deleted by DB reduction.
-    pub glue_lbd: u32,
     /// Conflicts before the first learnt-clause DB reduction.
     pub reduce_base: u64,
     /// Increment added to the reduction interval after every reduction, so
     /// the DB is allowed to grow over time.
     pub reduce_increment: u64,
-    /// VSIDS variable-activity decay factor (activity increment is divided
-    /// by this after each conflict).
-    pub var_decay: f64,
-    /// Clause-activity decay factor.
-    pub cla_decay: f64,
-    /// Learned-clause minimization mode.
-    pub ccmin: CcMin,
     /// Chronological backtracking threshold: when a conflict's backjump
     /// would undo more than this many decision levels, backtrack a single
     /// level instead and let the asserting literal propagate from there,
@@ -153,15 +117,9 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            restart_mode: RestartMode::Ema,
             restart_min_interval: 50,
-            restart_base: 100,
-            glue_lbd: 2,
             reduce_base: 2000,
             reduce_increment: 300,
-            var_decay: 0.95,
-            cla_decay: 0.999,
-            ccmin: CcMin::Basic,
             chrono_threshold: 64,
             inprocess_trigger: 64,
             inprocess_min_clauses: 2000,
@@ -173,7 +131,7 @@ impl Default for SolverConfig {
 ///
 /// Read them with [`Solver::stats`]; experiment binaries export them through
 /// `orap_bench::json`. `learned_literals_pre/post` measure how much
-/// recursive clause minimization shrinks first-UIP clauses.
+/// clause minimization shrinks first-UIP clauses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// `solve`/`solve_with` calls completed.
@@ -190,7 +148,7 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Total literals in learnt clauses before minimization.
     pub learned_literals_pre: u64,
-    /// Total literals in learnt clauses after recursive minimization.
+    /// Total literals in learnt clauses after minimization.
     pub learned_literals_post: u64,
     /// Learnt-clause database reductions.
     pub db_reductions: u64,
@@ -272,7 +230,6 @@ pub struct Solver {
     saved_phase: Vec<bool>,
 
     cla_inc: f32,
-    learnt_count: usize,
     /// Conflicts since the last DB reduction.
     conflicts_since_reduce: u64,
     /// Conflict count that triggers the next DB reduction.
@@ -293,7 +250,6 @@ pub struct Solver {
 
     // scratch for analyze / minimization / LBD
     seen: Vec<bool>,
-    analyze_stack: Vec<Lit>,
     analyze_toclear: Vec<Lit>,
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
@@ -317,7 +273,7 @@ pub struct Solver {
     /// parts of the clause DB.
     viv_cursor: usize,
 
-    // EMA restart state (RestartMode::Ema), persistent across solves.
+    // EMA restart state, persistent across solves.
     ema_lbd_fast: f64,
     ema_lbd_slow: f64,
     ema_trail: f64,
@@ -407,7 +363,6 @@ impl Solver {
             heap: IndexedHeap::new(),
             saved_phase: Vec::new(),
             cla_inc: 1.0,
-            learnt_count: 0,
             conflicts_since_reduce: 0,
             next_reduce: config.reduce_base,
             config,
@@ -418,7 +373,6 @@ impl Solver {
             deadline: None,
             interrupted: false,
             seen: Vec::new(),
-            analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_counter: 0,
@@ -445,13 +399,6 @@ impl Solver {
     /// The current search parameters.
     pub fn config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Replaces the search parameters (effective from the next conflict).
-    /// The DB-reduction schedule restarts from the new `reduce_base`.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.next_reduce = config.reduce_base;
-        self.config = config;
     }
 
     /// Cumulative search statistics.
@@ -497,19 +444,9 @@ impl Solver {
         self.frozen[v.index()] = frozen;
     }
 
-    /// Whether `v` is currently eliminated by bounded variable elimination.
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index()]
-    }
-
     /// Number of (non-deleted) clauses, including learnt ones.
     pub fn num_clauses(&self) -> usize {
         self.live_clauses
-    }
-
-    /// Number of live learnt clauses.
-    pub fn num_learnts(&self) -> usize {
-        self.learnt_count
     }
 
     /// Total conflicts encountered so far (monotone across calls).
@@ -667,9 +604,6 @@ impl Solver {
         // Reset to zero at the end of each inprocessing round, so clauses
         // re-attached during a round do not count toward the next trigger.
         self.adds_since_inprocess += 1;
-        if learnt {
-            self.learnt_count += 1;
-        }
         let w0 = lits[0];
         let w1 = lits[1];
         let lists = if lits.len() == 2 {
@@ -867,9 +801,9 @@ impl Solver {
         lbd
     }
 
-    /// First-UIP conflict analysis with recursive (MiniSat `ccmin-mode=2`)
-    /// clause minimization. Returns the learnt clause (asserting literal
-    /// first), its LBD, and the backtrack level.
+    /// First-UIP conflict analysis with local clause minimization. Returns
+    /// the learnt clause (asserting literal first), its LBD, and the
+    /// backtrack level.
     fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
         let mut counter = 0usize;
@@ -934,37 +868,16 @@ impl Solver {
 
         self.stats.learned_literals_pre += learnt.len() as u64;
 
-        // Clause minimization: a literal is redundant if its reason-side
-        // cone is entirely absorbed by the remaining clause (the `seen`
-        // flags mark exactly the variables of `learnt[1..]`).
+        // Clause minimization: a literal is redundant if its reason clause
+        // is entirely absorbed by the remaining clause (the `seen` flags
+        // mark exactly the variables of `learnt[1..]`).
         let mut minimized = vec![learnt[0]];
-        match self.config.ccmin {
-            CcMin::None => minimized.extend_from_slice(&learnt[1..]),
-            CcMin::Basic => {
-                minimized.extend(learnt[1..].iter().copied().filter(|&l| {
-                    self.reason[l.var().index()] == REASON_NONE || !self.lit_redundant_basic(l)
-                }));
-            }
-            CcMin::Deep => {
-                let mut abstract_levels = 0u64;
-                for l in &learnt[1..] {
-                    abstract_levels |= 1u64 << (self.level[l.var().index()] & 63);
-                }
-                let keep: Vec<Lit> = learnt[1..]
-                    .iter()
-                    .copied()
-                    .filter(|&l| {
-                        self.reason[l.var().index()] == REASON_NONE
-                            || !self.lit_redundant(l, abstract_levels)
-                    })
-                    .collect();
-                minimized.extend(keep);
-            }
-        }
+        minimized.extend(learnt[1..].iter().copied().filter(|&l| {
+            self.reason[l.var().index()] == REASON_NONE || !self.lit_redundant_basic(l)
+        }));
         self.stats.learned_literals_post += minimized.len() as u64;
 
-        // Clear seen flags (learnt literals and everything marked during
-        // redundancy checks).
+        // Clear seen flags (the UIP and every analyzed literal).
         self.seen[learnt[0].var().index()] = false;
         for i in 0..self.analyze_toclear.len() {
             let v = self.analyze_toclear[i].var().index();
@@ -1012,52 +925,6 @@ impl Solver {
         true
     }
 
-    /// Recursive redundancy test (MiniSat's `litRedundant`): `l` is
-    /// redundant if every path through its implication cone reaches either a
-    /// literal already in the learnt clause (`seen`) or level 0 — checked
-    /// iteratively with an explicit stack. Newly marked variables are
-    /// recorded in `analyze_toclear`; on failure the marks added by this
-    /// call are rolled back.
-    fn lit_redundant(&mut self, l: Lit, abstract_levels: u64) -> bool {
-        debug_assert_ne!(self.reason[l.var().index()], REASON_NONE);
-        self.analyze_stack.clear();
-        self.analyze_stack.push(l);
-        let top = self.analyze_toclear.len();
-        while let Some(p) = self.analyze_stack.pop() {
-            let cref = self.reason[p.var().index()];
-            debug_assert_ne!(cref, REASON_NONE);
-            let base = cref as usize;
-            let clen = (self.arena[base] & LEN_MASK) as usize;
-            for k in 0..clen {
-                let q = Lit(self.arena[base + HDR + k]);
-                if q.var() == p.var() {
-                    continue; // the implied literal (see `analyze`)
-                }
-                let v = q.var().index();
-                if self.seen[v] || self.level[v] == 0 {
-                    continue;
-                }
-                // Not absorbed yet: the literal can only be redundant if its
-                // own reason cone stays inside the clause's decision levels.
-                if self.reason[v] != REASON_NONE
-                    && (1u64 << (self.level[v] & 63)) & abstract_levels != 0
-                {
-                    self.seen[v] = true;
-                    self.analyze_stack.push(q);
-                    self.analyze_toclear.push(q);
-                } else {
-                    // Roll back the marks added during this check.
-                    for j in top..self.analyze_toclear.len() {
-                        self.seen[self.analyze_toclear[j].var().index()] = false;
-                    }
-                    self.analyze_toclear.truncate(top);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     fn backtrack_to(&mut self, level: u32) {
         if self.decision_level() <= level {
             return;
@@ -1091,7 +958,6 @@ impl Solver {
     /// conflict since the last reduction are kept (the latter lose their
     /// protection mark for the next round).
     fn reduce_db(&mut self) {
-        let glue = self.config.glue_lbd;
         let mut cands: Vec<(u32, f32, ClauseRef)> = Vec::new();
         let mut off = 0usize;
         while off < self.arena.len() {
@@ -1102,7 +968,7 @@ impl Solver {
             if header & FLAG_LEARNT == 0
                 || header & (FLAG_DELETED | FLAG_USED) != 0
                 || len <= 2
-                || self.arena[cref as usize + 1] <= glue
+                || self.arena[cref as usize + 1] <= GLUE_LBD
                 || self.is_reason(cref)
             {
                 continue;
@@ -1125,7 +991,6 @@ impl Solver {
             let base = cref as usize;
             self.arena[base] |= FLAG_DELETED;
             self.wasted += HDR + (self.arena[base] & LEN_MASK) as usize;
-            self.learnt_count -= 1;
             self.live_clauses -= 1;
         }
         // Protection is one-round: clear the marks so clauses must stay
@@ -1262,8 +1127,6 @@ impl Solver {
         }
 
         let budget_end = self.budget.map(|b| self.stats.conflicts + b);
-        let mut restart_idx = 0u32;
-        let mut conflicts_until_restart = luby(restart_idx) * self.config.restart_base;
         let mut conflicts_since_restart = 0u64;
         let result;
 
@@ -1280,8 +1143,7 @@ impl Solver {
                     // Conflict below/at the assumption prefix: under these
                     // assumptions the formula is UNSAT.
                     let (learnt, lbd, bt) = self.analyze(conflict);
-                    // Glucose-style EMA state, fed on every conflict so a
-                    // later switch to RestartMode::Ema starts warm.
+                    // Glucose-style EMA restart state, fed on every conflict.
                     conflicts_since_restart += 1;
                     let lbd_f = f64::from(lbd.max(1));
                     let trail_f = self.trail.len() as f64;
@@ -1295,8 +1157,7 @@ impl Solver {
                         self.ema_trail = trail_f;
                         self.ema_seen_conflicts = true;
                     }
-                    if self.config.restart_mode == RestartMode::Ema
-                        && conflicts_since_restart >= self.config.restart_min_interval
+                    if conflicts_since_restart >= self.config.restart_min_interval
                         && trail_f > EMA_BLOCK_RATIO * self.ema_trail
                         && self.ema_lbd_fast > EMA_FORCE_RATIO * self.ema_lbd_slow
                     {
@@ -1368,9 +1229,8 @@ impl Solver {
                             }
                         }
                     }
-                    self.var_inc /= self.config.var_decay;
-                    self.cla_inc /= self.config.cla_decay as f32;
-                    conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
+                    self.var_inc /= VAR_DECAY;
+                    self.cla_inc /= CLA_DECAY;
                     // Cooperative interrupt: flag every conflict, deadline
                     // every DEADLINE_CHECK_MASK+1 conflicts. Sits next to the
                     // budget check so one long solve observes an external
@@ -1392,22 +1252,13 @@ impl Solver {
                     }
                 }
                 None => {
-                    let restart_due = match self.config.restart_mode {
-                        RestartMode::Luby => conflicts_until_restart == 0,
-                        RestartMode::Ema => {
-                            conflicts_since_restart >= self.config.restart_min_interval
-                                && self.ema_lbd_fast > EMA_FORCE_RATIO * self.ema_lbd_slow
-                        }
-                    };
+                    let restart_due = conflicts_since_restart >= self.config.restart_min_interval
+                        && self.ema_lbd_fast > EMA_FORCE_RATIO * self.ema_lbd_slow;
                     if restart_due && (self.decision_level() as usize) > assumptions.len() {
-                        restart_idx += 1;
-                        conflicts_until_restart = luby(restart_idx) * self.config.restart_base;
                         conflicts_since_restart = 0;
-                        if self.config.restart_mode == RestartMode::Ema {
-                            // Demand fresh evidence before the next force.
-                            self.ema_lbd_fast = self.ema_lbd_slow;
-                            self.stats.restarts_forced += 1;
-                        }
+                        // Demand fresh evidence before the next force.
+                        self.ema_lbd_fast = self.ema_lbd_slow;
+                        self.stats.restarts_forced += 1;
                         self.stats.restarts += 1;
                         self.backtrack_to(assumptions.len() as u32);
                         continue;
@@ -1475,22 +1326,6 @@ const EMA_FAST_WINDOW: f64 = 32.0;
 const EMA_SLOW_WINDOW: f64 = 4096.0;
 const EMA_FORCE_RATIO: f64 = 1.25;
 const EMA_BLOCK_RATIO: f64 = 1.4;
-
-/// Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, ...
-fn luby(mut x: u32) -> u64 {
-    let mut size = 1u64;
-    let mut seq = 0u32;
-    while size < x as u64 + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x as u64 {
-        size = (size - 1) / 2;
-        seq -= 1;
-        x = (x as u64 % size) as u32;
-    }
-    1u64 << seq
-}
 
 /// Indexed max-heap over variable activities.
 #[derive(Debug, Clone, Default)]

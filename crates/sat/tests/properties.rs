@@ -1,24 +1,20 @@
 //! Property-based tests (qcheck) for the CDCL solver and DIMACS I/O.
 //!
 //! The solver properties run with a deliberately hostile configuration —
-//! restarts every conflict and a clause database that reduces almost
-//! immediately — so the Luby/LBD machinery is exercised even on tiny
-//! formulas where the defaults would never trigger it.
+//! a restart decision on every conflict and a clause database that reduces
+//! almost immediately — so the restart/LBD machinery is exercised even on
+//! tiny formulas where the defaults would never trigger it.
 
-use cdcl::{dimacs, CcMin, RestartMode, SolveResult, Solver, SolverConfig, Var};
+use cdcl::{dimacs, SolveResult, Solver, SolverConfig, Var};
 use qcheck::{any_bool, vec_of};
 
-/// A configuration that restarts and reduces as aggressively as possible,
-/// with the most elaborate minimization mode. Pinned to Luby restarts: the
-/// restart-count sanity assertion below relies on the static
-/// restart-every-conflict schedule.
+/// A configuration that restarts and reduces as aggressively as possible:
+/// EMA restarts are re-evaluated after every conflict.
 fn hostile_config() -> SolverConfig {
     SolverConfig {
-        restart_mode: RestartMode::Luby,
-        restart_base: 1,
+        restart_min_interval: 1,
         reduce_base: 1,
         reduce_increment: 1,
-        ccmin: CcMin::Deep,
         ..SolverConfig::default()
     }
 }
@@ -28,23 +24,19 @@ fn hostile_config() -> SolverConfig {
 /// re-evaluated every other conflict.
 fn aggressive_config() -> SolverConfig {
     SolverConfig {
-        restart_mode: RestartMode::Ema,
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        ccmin: CcMin::Deep,
         chrono_threshold: 1,
         inprocess_trigger: 1,
         inprocess_min_clauses: 0,
-        ..SolverConfig::default()
     }
 }
 
-/// Everything-off counterpart: pure Luby, no chronological backtracking, no
+/// Everything-off counterpart: no chronological backtracking, no
 /// inprocessing — the pre-inprocessing solver.
 fn plain_config() -> SolverConfig {
     SolverConfig {
-        restart_mode: RestartMode::Luby,
         chrono_threshold: 0,
         inprocess_trigger: 0,
         ..SolverConfig::default()
@@ -94,8 +86,8 @@ qcheck::props! {
     }
 
     /// The solver agrees with brute force on random small CNFs while
-    /// restarting on every conflict and reducing the learnt database on
-    /// every check — the verdict must be invariant under both.
+    /// deciding on a restart after every conflict and reducing the learnt
+    /// database on every check — the verdict must be invariant under both.
     fn solver_agrees_with_brute_force_under_hostile_config(
         num_vars in 1usize..13,
         raw in vec_of(vec_of((0u64..1 << 30, any_bool()), 1..5), 0..60),

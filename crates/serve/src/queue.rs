@@ -684,11 +684,6 @@ impl<J: Send, R: Clone + Send> JobQueue<J, R> {
         self.terminal.notify_all();
     }
 
-    /// Whether shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.lock().expect("queue lock").shutdown
-    }
-
     /// Current counters.
     pub fn stats(&self) -> QueueStats {
         let g = self.inner.lock().expect("queue lock");

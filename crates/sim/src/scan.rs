@@ -172,11 +172,6 @@ impl ScanSim {
         &self.seq
     }
 
-    /// Mutable white-box access to the sequential state.
-    pub fn seq_mut(&mut self) -> &mut SeqSim {
-        &mut self.seq
-    }
-
     /// Applies one clock cycle.
     ///
     /// - If `scan_enable` is high, each chain shifts by one position:

@@ -31,12 +31,6 @@ impl AigLit {
     pub fn complemented(self) -> bool {
         self.0 & 1 == 1
     }
-
-    /// Whether this is one of the constants.
-    #[inline]
-    pub fn is_const(self) -> bool {
-        self.node() == 0
-    }
 }
 
 impl std::ops::Not for AigLit {

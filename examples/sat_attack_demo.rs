@@ -58,10 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let mut oracle = CombOracle::from_locked(&sar)?;
     let capped_sat = SatEngine {
-        config: SatAttackConfig {
-            max_iterations: 128,
-            conflict_budget: None,
-        },
+        config: SatAttackConfig { max_iterations: 128 },
     };
     let capped = run(&capped_sat, &sar, &mut oracle, &mut AttackCtl::new());
     println!(
