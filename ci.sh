@@ -12,6 +12,15 @@ cd "$(dirname "$0")"
 # and print_literal were cleaned up and removed — the list is now empty.)
 CLIPPY_ALLOW=()
 
+# Checked-in results must not change under ci.sh: only the serve smoke
+# rewrites its own record. Checked after the last step.
+results_sums() {
+  for f in results/*.json; do
+    [ "$f" = results/BENCH_serve_smoke.json ] || cksum "$f"
+  done
+}
+RESULTS_SUMS="$(results_sums)"
+
 echo "==> cargo build --release (offline)"
 cargo build --release --workspace --offline
 
@@ -39,41 +48,8 @@ fi
 echo "==> cargo doc -D warnings (offline, no deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps --quiet
 
-echo "==> SAT-attack bench (smoke mode) -> results/BENCH_sat_smoke.json"
-ORAP_BENCH_SMOKE=1 cargo bench -p orap-bench --bench sat_attack --offline
-for field in inprocessings subsumed_clauses eliminated_vars restored_vars \
-             vivified_literals chrono_backtracks restarts_forced; do
-  if ! grep -q "\"$field\"" results/BENCH_sat_smoke.json; then
-    echo "ERROR: BENCH_sat_smoke.json missing solver-stats field: $field" >&2
-    exit 1
-  fi
-done
-
-echo "==> engine bench (smoke mode) -> results/BENCH_engine_smoke.json"
-ORAP_BENCH_SMOKE=1 cargo bench -p orap-bench --bench engine --offline
-
-echo "==> conformance kill matrix (smoke mode) -> results/BENCH_conformance_smoke.json"
-ORAP_BENCH_SMOKE=1 cargo bench -p orap-bench --bench conformance --offline
-
-echo "==> scaling bench (smoke mode) -> results/BENCH_scaling_smoke.json"
+echo "==> scaling bench (smoke mode; asserts t8 <= t1*5/4, writes no file)"
 ORAP_BENCH_SMOKE=1 cargo bench -p orap-bench --bench scaling --offline
-
-echo "==> scancheck: scan-obfuscation workloads (smoke mode) -> results/BENCH_scan_smoke.json"
-ORAP_BENCH_SMOKE=1 cargo bench -p orap-bench --bench scan --offline
-# The harness gates on the clean battery, the session-exact seed and the
-# three scan mutants; the shape check keeps the exported schema honest
-# (unroll geometry, solver stats, kill count).
-for field in unroll_depth load_cycles frame_bits conflicts propagations \
-             scan_mutants scan_kills; do
-  if ! grep -q "\"$field\"" results/BENCH_scan_smoke.json; then
-    echo "ERROR: BENCH_scan_smoke.json missing expected field: $field" >&2
-    exit 1
-  fi
-done
-if ! grep -q '"scan_kills": 3' results/BENCH_scan_smoke.json; then
-  echo "ERROR: BENCH_scan_smoke.json does not report all scan mutants killed" >&2
-  exit 1
-fi
 
 echo "==> serve smoke: daemon + load harness -> results/BENCH_serve_smoke.json"
 SERVE_PORT_FILE="$(mktemp)"
@@ -113,6 +89,12 @@ echo "==> verifying the dependency graph is path-only"
 if cargo metadata --format-version 1 --offline \
     | grep -o '"source":"registry[^"]*"' | head -1 | grep -q registry; then
   echo "ERROR: registry dependency found in cargo metadata" >&2
+  exit 1
+fi
+
+if [ "$(results_sums)" != "$RESULTS_SUMS" ]; then
+  echo "ERROR: ci.sh changed or added checked-in results/*.json files:" >&2
+  diff <(echo "$RESULTS_SUMS") <(results_sums) >&2 || true
   exit 1
 fi
 

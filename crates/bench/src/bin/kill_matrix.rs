@@ -1,15 +1,12 @@
-//! Conformance kill-matrix harness: runs the mutation battery of the
-//! `conformance` crate and exports the per-mutant kill matrix.
+//! Full-scale conformance kill matrix: runs the mutation battery of the
+//! `conformance` crate at [`Scale::Full`] and writes the per-mutant kill
+//! matrix to `results/BENCH_conformance.json`.
 //!
-//! Unlike the timing benches, this harness is a *gate*: it exits non-zero
-//! (via assertion) if the clean baseline fails or any checked-in mutant
-//! survives, so wiring it into ci.sh makes the kill rate a tier-1
-//! invariant alongside the unit suites.
-//!
-//! Results go to `results/BENCH_conformance.json`; with
-//! `ORAP_BENCH_SMOKE=1` the smaller smoke battery runs instead and writes
-//! `results/BENCH_conformance_smoke.json` (the file checked into the
-//! repository — regenerate it when the catalog changes).
+//! Regenerate the checked-in file with
+//! `cargo run --release -p orap-bench --bin kill_matrix` when the catalog
+//! or a battery changes: `tests/kill_matrix.rs` pins every row's `id`,
+//! `layer`, `killed` and `killed_by` against it. The binary exits non-zero
+//! (via assertion) if the clean baseline fails or any mutant survives.
 
 use std::time::Instant;
 
@@ -18,15 +15,12 @@ use orap_bench::json::Json;
 use orap_bench::{json_object, write_results};
 
 fn main() {
-    let smoke = std::env::var("ORAP_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
-
     let start = Instant::now();
-    let report = mutation::run_matrix(scale);
+    let report = mutation::run_matrix(Scale::Full);
     let wall_ns = start.elapsed().as_nanos() as u64;
 
     println!(
-        "conformance kill matrix ({scale:?} scale): {} mutants, baseline {}",
+        "conformance kill matrix (Full scale): {} mutants, baseline {}",
         report.results.len(),
         if report.baseline_ok { "ok" } else { "FAILED" },
     );
@@ -59,7 +53,7 @@ fn main() {
         .collect();
     let doc = json_object! {
         harness: "conformance",
-        smoke: smoke,
+        smoke: false,
         mutants: report.results.len(),
         killed: report.results.iter().filter(|r| r.killed).count(),
         kill_rate: report.kill_rate(),
@@ -69,12 +63,7 @@ fn main() {
         wall_ns: wall_ns,
         rows: rows,
     };
-    let name = if smoke {
-        "BENCH_conformance_smoke"
-    } else {
-        "BENCH_conformance"
-    };
-    let path = write_results(name, &doc).expect("write results");
+    let path = write_results("BENCH_conformance", &doc).expect("write results");
     println!("results -> {}", path.display());
 
     assert!(

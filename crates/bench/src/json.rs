@@ -730,6 +730,41 @@ mod tests {
         assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
+    /// The `solver` object of bench JSON and of the daemon's `attack`
+    /// result: all 19 `cdcl::SolverStats` counters, in declaration order.
+    #[test]
+    fn solver_stats_export_every_counter_in_order() {
+        let Json::Object(fields) = cdcl::SolverStats::default().to_json() else {
+            panic!("SolverStats must export an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "solves",
+                "decisions",
+                "propagations",
+                "conflicts",
+                "restarts",
+                "learned_clauses",
+                "learned_literals_pre",
+                "learned_literals_post",
+                "db_reductions",
+                "clauses_deleted",
+                "inprocessings",
+                "subsumed_clauses",
+                "strengthened_clauses",
+                "eliminated_vars",
+                "restored_vars",
+                "vivified_literals",
+                "chrono_backtracks",
+                "restarts_blocked",
+                "restarts_forced",
+            ]
+        );
+        assert!(fields.iter().all(|(_, v)| *v == Json::UInt(0)));
+    }
+
     #[test]
     fn unicode_escapes_and_surrogates() {
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries that regenerate the paper's
 //! tables and figures (see DESIGN.md §4 for the experiment index).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub mod json;
 pub mod timing;
@@ -84,10 +84,15 @@ pub fn write_results<T: json::ToJson>(name: &str, value: &T) -> std::io::Result<
         .unwrap_or_else(|| PathBuf::from("results"));
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
+    write_json(&path, value)?;
+    Ok(path)
+}
+
+/// Writes `value` pretty-printed, with a trailing newline, to `path`.
+fn write_json<T: json::ToJson>(path: &Path, value: &T) -> std::io::Result<()> {
     let mut text = value.to_json().pretty();
     text.push('\n');
-    std::fs::write(&path, text)?;
-    Ok(path)
+    std::fs::write(path, text)
 }
 
 /// Picks the control-gate width per benchmark as the paper does (5 inputs
@@ -143,22 +148,21 @@ mod tests {
         assert_eq!(control_width(BenchmarkId::S38417), 3);
     }
 
+    /// The file `write_results` produces parses back to the written value,
+    /// escapes and floats included.
     #[test]
     fn write_results_roundtrip() {
-        struct Tiny {
-            x: u32,
-        }
-        impl json::ToJson for Tiny {
-            fn to_json(&self) -> json::Json {
-                json_object! { x: self.x }
-            }
-        }
-        let path = write_results("selftest", &Tiny { x: 7 }).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
+        let doc = json_object! {
+            x: 7u32,
+            values: vec![1.5f64, 2.0, 3.25],
+            nested: json_object! { deep: "yes\nwith\tescapes\"" },
+        };
+        let path = std::env::temp_dir().join(format!("orap-bench-{}.json", std::process::id()));
+        write_json(&path, &doc).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(text.ends_with("}\n"));
         assert!(text.contains("\"x\": 7"));
-        assert_eq!(
-            json::parse(text.trim_end()).unwrap(),
-            json::Json::Object(vec![("x".into(), json::Json::UInt(7))])
-        );
+        assert_eq!(json::parse(text.trim_end()).unwrap(), doc);
     }
 }

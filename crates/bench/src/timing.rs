@@ -1,76 +1,9 @@
-//! Lightweight micro-benchmark harness replacing `criterion` under the
-//! hermetic-build policy.
-//!
-//! Each `benches/*.rs` target (compiled with `harness = false`) builds a
-//! [`Harness`], registers closures with [`Harness::bench`] /
-//! [`Harness::bench_throughput`], and calls [`Harness::finish`], which
-//! prints one line per benchmark and writes the machine-readable trajectory
-//! to `results/BENCH_<harness>.json`:
-//!
-//! ```text
-//! simulator/comb_sim_eval_words/b20@0.02  median 184.2 µs  (10 samples × 271 iters)  912.4 Melem/s
-//! ```
-//!
-//! Methodology: one calibration run picks an iteration count targeting
-//! 50 ms per sample (so cheap kernels amortize timer
-//! overhead and expensive ones still finish), a warmup discards cache and
-//! branch-predictor cold starts, then `BENCH_SAMPLES` (default 10) samples
-//! are timed and summarized by their median — median-of-N is robust to the
-//! scheduler-noise outliers that plague mean-based reporting.
-
-use std::time::Instant;
+//! Latency summaries and duration formatting: `serve_load`'s per-kind
+//! percentiles, and the walls the `scaling` bench and the `kill_matrix`
+//! binary print.
 
 use crate::json::{Json, ToJson};
 use crate::json_object;
-
-/// Target wall-clock time per measured sample.
-const TARGET_SAMPLE_NANOS: u128 = 50_000_000;
-
-/// Hard cap on iterations per sample (guards against ~ns closures).
-const MAX_ITERS_PER_SAMPLE: u64 = 4_000_000;
-
-/// One benchmark's summarized measurements.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark name (unique within the harness).
-    pub name: String,
-    /// Median nanoseconds per iteration across samples.
-    pub median_ns: f64,
-    /// Fastest sample, ns per iteration.
-    pub min_ns: f64,
-    /// Slowest sample, ns per iteration.
-    pub max_ns: f64,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Iterations folded into each sample.
-    pub iters_per_sample: u64,
-    /// Optional elements-processed-per-iteration for throughput lines.
-    pub throughput_elems: Option<u64>,
-}
-
-impl Measurement {
-    /// Elements per second implied by the median, if a throughput element
-    /// count was registered.
-    pub fn elems_per_sec(&self) -> Option<f64> {
-        self.throughput_elems
-            .map(|e| e as f64 / (self.median_ns / 1e9))
-    }
-}
-
-impl ToJson for Measurement {
-    fn to_json(&self) -> Json {
-        json_object! {
-            name: self.name,
-            median_ns: self.median_ns,
-            min_ns: self.min_ns,
-            max_ns: self.max_ns,
-            samples: self.samples,
-            iters_per_sample: self.iters_per_sample,
-            throughput_elems: self.throughput_elems,
-            elems_per_sec: self.elems_per_sec(),
-        }
-    }
-}
 
 /// Latency-distribution summary over a set of raw nanosecond samples — the
 /// telemetry shape the serving load harness reports per job kind
@@ -141,16 +74,6 @@ impl ToJson for LatencySummary {
     }
 }
 
-/// A named collection of benchmarks, written out together by [`finish`].
-///
-/// [`finish`]: Harness::finish
-#[derive(Debug)]
-pub struct Harness {
-    name: String,
-    samples: usize,
-    results: Vec<Measurement>,
-}
-
 /// Formats a nanosecond duration with an adaptive unit (ns/µs/ms/s).
 pub fn human_time(ns: f64) -> String {
     if ns >= 1e9 {
@@ -164,143 +87,9 @@ pub fn human_time(ns: f64) -> String {
     }
 }
 
-fn human_rate(elems_per_sec: f64) -> String {
-    if elems_per_sec >= 1e9 {
-        format!("{:.2} Gelem/s", elems_per_sec / 1e9)
-    } else if elems_per_sec >= 1e6 {
-        format!("{:.2} Melem/s", elems_per_sec / 1e6)
-    } else if elems_per_sec >= 1e3 {
-        format!("{:.2} Kelem/s", elems_per_sec / 1e3)
-    } else {
-        format!("{elems_per_sec:.1} elem/s")
-    }
-}
-
-impl Harness {
-    /// Creates a harness; `name` becomes the `BENCH_<name>.json` stem. The
-    /// `BENCH_SAMPLES` environment variable overrides the sample count
-    /// (minimum 3 so a median is meaningful).
-    pub fn new(name: &str) -> Self {
-        let samples = std::env::var("BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(10)
-            .max(3);
-        Harness {
-            name: name.to_string(),
-            samples,
-            results: Vec::new(),
-        }
-    }
-
-    /// Times `f`, reporting nanoseconds per call.
-    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) {
-        self.run(name, None, f);
-    }
-
-    /// Times `f`, additionally reporting throughput given that one call
-    /// processes `elems` elements.
-    pub fn bench_throughput<R>(&mut self, name: &str, elems: u64, f: impl FnMut() -> R) {
-        self.run(name, Some(elems), f);
-    }
-
-    fn run<R>(&mut self, name: &str, throughput_elems: Option<u64>, mut f: impl FnMut() -> R) {
-        // Calibration: time one call, derive iterations per sample.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let once = t0.elapsed().as_nanos().max(1);
-        let iters = ((TARGET_SAMPLE_NANOS / once).clamp(1, MAX_ITERS_PER_SAMPLE as u128)) as u64;
-
-        // Warmup: one full sample's worth, unrecorded.
-        for _ in 0..iters.min(1000) {
-            std::hint::black_box(f());
-        }
-
-        let mut per_iter_ns: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(f());
-                }
-                t.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect();
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let median = if per_iter_ns.len() % 2 == 1 {
-            per_iter_ns[per_iter_ns.len() / 2]
-        } else {
-            (per_iter_ns[per_iter_ns.len() / 2 - 1] + per_iter_ns[per_iter_ns.len() / 2]) / 2.0
-        };
-        let m = Measurement {
-            name: name.to_string(),
-            median_ns: median,
-            min_ns: per_iter_ns[0],
-            max_ns: *per_iter_ns.last().expect("samples >= 3"),
-            samples: per_iter_ns.len(),
-            iters_per_sample: iters,
-            throughput_elems,
-        };
-        let rate = m
-            .elems_per_sec()
-            .map(|r| format!("  {}", human_rate(r)))
-            .unwrap_or_default();
-        println!(
-            "{}/{}  median {}  ({} samples × {} iters){}",
-            self.name,
-            m.name,
-            human_time(m.median_ns),
-            m.samples,
-            m.iters_per_sample,
-            rate
-        );
-        self.results.push(m);
-    }
-
-    /// Prints the footer and writes `results/BENCH_<name>.json`. Returns the
-    /// path written.
-    pub fn finish(self) -> std::io::Result<std::path::PathBuf> {
-        let doc = json_object! {
-            harness: self.name,
-            samples: self.samples,
-            benchmarks: self.results,
-        };
-        let path = crate::write_results(&format!("BENCH_{}", self.name), &doc)?;
-        println!(
-            "{}: {} benchmarks, results written to {}",
-            self.name,
-            self.results.len(),
-            path.display()
-        );
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measures_and_summarizes() {
-        std::env::set_var("BENCH_SAMPLES", "3");
-        let mut h = Harness::new("selftest_timing");
-        let mut acc = 0u64;
-        h.bench_throughput("wrapping_sum", 64, || {
-            for i in 0..64u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        assert_eq!(h.results.len(), 1);
-        let m = &h.results[0];
-        assert!(m.median_ns > 0.0);
-        assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
-        assert!(m.elems_per_sec().unwrap() > 0.0);
-        let path = h.finish().expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        let doc = crate::json::parse(&text).expect("valid json");
-        assert!(matches!(doc, Json::Object(_)));
-        assert!(text.contains("wrapping_sum"));
-    }
 
     #[test]
     fn human_units() {
@@ -308,7 +97,5 @@ mod tests {
         assert_eq!(human_time(12_300.0), "12.300 µs");
         assert_eq!(human_time(12_300_000.0), "12.300 ms");
         assert_eq!(human_time(2_500_000_000.0), "2.500 s");
-        assert_eq!(human_rate(1.5e9), "1.50 Gelem/s");
-        assert_eq!(human_rate(2.0e6), "2.00 Melem/s");
     }
 }

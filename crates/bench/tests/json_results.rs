@@ -24,11 +24,7 @@ fn checked_in_results_roundtrip() {
         if path.extension().map(|e| e != "json").unwrap_or(true) {
             continue;
         }
-        // Skip scratch files written by other tests running in parallel.
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if name.contains("selftest") {
-            continue;
-        }
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => continue,
@@ -85,19 +81,4 @@ fn experiment_row_shapes_roundtrip() {
     assert!(text.contains("15.82729605741279"));
     // Nulls appear for None options.
     assert!(text.contains("\"failure\": null"));
-}
-
-/// write_results output parses back identically (end-to-end through the
-/// file system, as the binaries use it).
-#[test]
-fn write_results_output_parses() {
-    let doc = json_object! {
-        name: "json_results_selftest",
-        values: vec![1.5f64, 2.0, 3.25],
-        nested: json_object! { deep: "yes\nwith\tescapes\"" },
-    };
-    let path = orap_bench::write_results("json_results_selftest", &doc).expect("write");
-    let text = std::fs::read_to_string(&path).expect("read back");
-    assert_eq!(parse(text.trim_end()).expect("valid"), doc);
-    let _ = std::fs::remove_file(path);
 }

@@ -6,8 +6,8 @@
 //! literal, and so on. The runner executes the conformance battery that
 //! can observe each mutant's layer and records whether it was **killed**
 //! (some check failed or panicked) or **survived**. A surviving mutant is
-//! a hole in the test suite — the matrix is asserted at 100% kill both in
-//! `cargo test` and in the CI smoke bench.
+//! a hole in the test suite — the matrix is asserted at 100% kill by
+//! `cargo test` at both scales.
 //!
 //! The soundness bar for catalog membership: a mutant must change the
 //! observable semantics of its engine. (E.g. skipping one binary-watch
@@ -27,7 +27,8 @@ use crate::fsimcheck::{self, FsimFault};
 use crate::scancheck::{self, ScanSabotage};
 use crate::{enccheck, enginecheck, satcheck};
 
-/// Battery scale: `Smoke` is the CI configuration, `Full` the nightly one.
+/// Battery scale. Both run under `cargo test`; `Full` is the scale of the
+/// checked-in kill matrix, `results/BENCH_conformance.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small circuit set and CNF bank; runs in seconds.

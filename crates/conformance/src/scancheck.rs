@@ -92,6 +92,15 @@ fn hidden_state_workload() -> (Circuit, ScanObfLocked) {
     (orig, locked)
 }
 
+/// A third workload for the Full scale: a 16-bit seed on `counter(16)`,
+/// twice the key width and chain length of the first.
+fn wide_seed_workload() -> (Circuit, ScanObfLocked) {
+    let orig = netlist::samples::counter(16);
+    let locked = scan_obfuscation::lock(&orig, &ScanObfConfig::balanced(16, 3))
+        .expect("counter(16) is lockable");
+    (orig, locked)
+}
+
 /// The dropped-frame mutant: a session oracle that loses the first shift
 /// frame of every response, so each later frame lands one frame early and
 /// the tail reads as zeros — the classic off-by-one-frame unroll bug. The
@@ -194,10 +203,12 @@ pub fn scan_battery(sabotage: Option<ScanSabotage>, scale: Scale) -> Result<(), 
         }
     }
 
-    // Checks 3–5 run per scan-obfuscation workload.
+    // Checks 3–5 run per scan-obfuscation workload. The Full additions come
+    // after workload 0, so every scan mutant still dies in workload 0.
     let mut workloads = vec![scanobf_workload()];
     if full_workloads {
         workloads.push(hidden_state_workload());
+        workloads.push(wide_seed_workload());
     }
     for (wi, (orig, locked)) in workloads.iter().enumerate() {
         let unrolled = if sabotage == Some(ScanSabotage::WrongHopPermutation) {

@@ -107,8 +107,6 @@ pub struct CompiledCircuit {
     /// Membership mask over `outputs` (a net may appear there twice; the
     /// mask is positional-duplicate-blind).
     output_mask: Vec<bool>,
-    /// Wall-clock nanoseconds spent compiling, for telemetry.
-    compile_ns: u64,
 }
 
 impl CompiledCircuit {
@@ -120,7 +118,6 @@ impl CompiledCircuit {
     /// Returns [`Error::CombinationalCycle`] if the combinational part is
     /// cyclic.
     pub fn compile(circuit: &Circuit) -> Result<Self, Error> {
-        let t0 = std::time::Instant::now();
         let lv = Levelization::build(circuit)?;
         let n = circuit.num_nets();
 
@@ -136,16 +133,14 @@ impl CompiledCircuit {
             fanin_start.push(fanin_pool.len() as u32);
         }
 
-        let mut cc = Self::assemble(
+        Ok(Self::assemble(
             kinds,
             fanin_pool,
             fanin_start,
             lv,
             circuit.comb_inputs(),
             circuit.comb_outputs(),
-        );
-        cc.compile_ns = t0.elapsed().as_nanos() as u64;
-        Ok(cc)
+        ))
     }
 
     /// Shared finishing pass of the [`compile`](CompiledCircuit::compile)
@@ -233,7 +228,6 @@ impl CompiledCircuit {
             inputs,
             outputs,
             output_mask,
-            compile_ns: 0,
         }
     }
 
@@ -261,11 +255,6 @@ impl CompiledCircuit {
             sweep_fanin_start.push(sweep_fanin_pool.len() as u32);
         }
         (sweep_net, sweep_kind, sweep_fanin_start, sweep_fanin_pool)
-    }
-
-    /// Records the wall-clock nanoseconds a construction path spent.
-    pub(crate) fn set_compile_ns(&mut self, ns: u64) {
-        self.compile_ns = ns;
     }
 
     /// Number of nets.
@@ -347,12 +336,6 @@ impl CompiledCircuit {
     /// The combinational outputs: primary outputs then flip-flop inputs.
     pub fn outputs(&self) -> &[NetId] {
         &self.outputs
-    }
-
-    /// Wall-clock nanoseconds spent in [`compile`](CompiledCircuit::compile)
-    /// (or in a [`StreamBuilder`](crate::stream::StreamBuilder) finish).
-    pub fn compile_ns(&self) -> u64 {
-        self.compile_ns
     }
 
     // ------------------------------------------------------------------
@@ -927,14 +910,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn compile_time_recorded() {
-        let cc = CompiledCircuit::compile(&samples::c17()).unwrap();
-        // Zero is possible on coarse clocks; just exercise the accessor.
-        let _ = cc.compile_ns();
-        assert_eq!(cc.num_nets(), 11);
     }
 
     #[test]

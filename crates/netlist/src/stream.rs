@@ -47,7 +47,6 @@ pub struct StreamBuilder {
     fanin_pool: Vec<u32>,
     fanin_start: Vec<u32>,
     level: Vec<u32>,
-    started: std::time::Instant,
 }
 
 impl Default for StreamBuilder {
@@ -64,7 +63,6 @@ impl StreamBuilder {
             fanin_pool: Vec::new(),
             fanin_start: vec![0],
             level: Vec::new(),
-            started: std::time::Instant::now(),
         }
     }
 
@@ -164,16 +162,14 @@ impl StreamBuilder {
 
         let order: Vec<NetId> = (0..n).map(NetId::from_index).collect();
         let lv = Levelization::from_parts(order, self.level);
-        let mut cc = CompiledCircuit::assemble(
+        Ok(CompiledCircuit::assemble(
             self.kinds,
             self.fanin_pool,
             self.fanin_start,
             lv,
             inputs.into_iter().map(|i| NetId::from_index(i as usize)).collect(),
             outputs.into_iter().map(|o| NetId::from_index(o as usize)).collect(),
-        );
-        cc.set_compile_ns(self.started.elapsed().as_nanos() as u64);
-        Ok(cc)
+        ))
     }
 }
 
