@@ -175,9 +175,6 @@ pub enum EncoderSabotage {
     /// [`ReducedEncoder::assert_miter`] silently omits the last
     /// key-dependent output from the difference disjunction.
     SkipMiterOutput,
-    /// [`ReducedEncoder::add_io_constraint`] asserts the complement of the
-    /// oracle response on output 0.
-    FlipIoConstraintBit,
     /// The flat XOR gadget flips the polarity of one literal in its first
     /// positive-polarity clause.
     FlipXorGadgetLit,
@@ -359,12 +356,8 @@ impl ReducedEncoder {
             sabotage: self.sabotage,
         };
         let mut ok = true;
-        for (j, &root) in self.cnf.aig.outputs().iter().enumerate() {
+        for (&root, &want) in self.cnf.aig.outputs().iter().zip(y) {
             // Only the demanded polarity of each output cone is emitted.
-            // (Fault injection, test-only: complement the response on
-            // output 0.)
-            let want =
-                y[j] ^ (j == 0 && self.sabotage == Some(EncoderSabotage::FlipIoConstraintBit));
             match scope.encode(solver, root, if want { POS } else { NEG }) {
                 EncVal::Const(b) => {
                     if b != want {

@@ -28,6 +28,7 @@ use cdcl::{SolveResult, Solver};
 use locking::LockedCircuit;
 
 use crate::aigcnf::ReducedEncoder;
+use crate::engine::{AttackCtl, Interrupt};
 
 /// Searches for an input on which `key_a` and `key_b` unlock `locked` to
 /// different output values. Returns `None` when the two keys are *exactly*
@@ -43,6 +44,27 @@ pub fn keys_exact_counterexample(
     key_a: &[bool],
     key_b: &[bool],
 ) -> Option<Vec<bool>> {
+    keys_exact_counterexample_ctl(locked, key_a, key_b, &AttackCtl::new())
+        .expect("an inert control block never interrupts")
+}
+
+/// [`keys_exact_counterexample`] under a control block: the miter solve
+/// observes `ctl`'s cancel flag and deadline at conflict granularity, so a
+/// long exact verification can be cut short like an attack.
+///
+/// # Errors
+///
+/// The [`Interrupt`] that stopped the solve.
+///
+/// # Panics
+///
+/// As [`keys_exact_counterexample`].
+pub fn keys_exact_counterexample_ctl(
+    locked: &LockedCircuit,
+    key_a: &[bool],
+    key_b: &[bool],
+    ctl: &AttackCtl,
+) -> Result<Option<Vec<bool>>, Interrupt> {
     assert_eq!(key_a.len(), locked.key_bits(), "key_a width mismatch");
     assert_eq!(key_b.len(), locked.key_bits(), "key_b width mismatch");
     let mut solver = Solver::new();
@@ -52,15 +74,16 @@ pub fn keys_exact_counterexample(
         solver.add_clause(&[enc.key_vars(0)[i].lit(a)]);
         solver.add_clause(&[enc.key_vars(1)[i].lit(b)]);
     }
+    ctl.arm_solver(&mut solver);
     match solver.solve() {
-        SolveResult::Unsat => None,
-        SolveResult::Sat => Some(
+        SolveResult::Unsat => Ok(None),
+        SolveResult::Sat => Ok(Some(
             enc.data_vars()
                 .iter()
                 .map(|&v| solver.value(v).unwrap_or(false))
                 .collect(),
-        ),
-        SolveResult::Unknown => unreachable!("no conflict budget was set"),
+        )),
+        SolveResult::Unknown => Err(ctl.solver_interrupt(&solver)),
     }
 }
 

@@ -91,17 +91,17 @@ fn sat_goldens_are_bit_identical_to_pre_engine_attack() {
         eliminated_vars: 215,
         restored_vars: 0,
         vivified_literals: 488,
-        chrono_backtracks: 0,
         restarts_blocked: 242,
         restarts_forced: 3,
     };
     assert_golden(&e, &rll(&comb, 12, 7), 6, 6, "000011101111", stats);
 }
 
-/// The SAT smoke bench's b19 lock (WLL, 12 key bits, control width 5): a
-/// single DIP, but a search long enough that EMA restarts, learnt-clause
-/// DB reductions, clause minimization and inprocessing all run, so the
-/// counters pin the solver's whole default schedule.
+/// The b19 profile at scale 0.003, WLL-locked with 12 key bits and
+/// control width 5: a single DIP, but a search long enough that EMA
+/// restarts, learnt-clause DB reductions, clause minimization and
+/// inprocessing all run, so the counters pin the solver's whole default
+/// schedule.
 #[test]
 fn sat_golden_pins_the_solver_schedule_on_the_b19_smoke_lock() {
     let id = BenchmarkId::B19;
@@ -125,7 +125,6 @@ fn sat_golden_pins_the_solver_schedule_on_the_b19_smoke_lock() {
         eliminated_vars: 460,
         restored_vars: 0,
         vivified_literals: 178,
-        chrono_backtracks: 0,
         restarts_blocked: 765,
         restarts_forced: 31,
     };

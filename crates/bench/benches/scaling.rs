@@ -173,11 +173,11 @@ fn main() {
         println!(
             "scaling/{}  synth={}  sweep={}  fsim t1={} t2={} t8={} (t8 speedup {speedup_t8:.2}x on {host_threads}-thread host)  detected={detected}/{}  peak_rss={:.1} MiB",
             p.name,
-            orap_bench::timing::human_time(synth_ns as f64),
-            orap_bench::timing::human_time(sweep_ns as f64),
-            orap_bench::timing::human_time(fsim_walls[0] as f64),
-            orap_bench::timing::human_time(fsim_walls[1] as f64),
-            orap_bench::timing::human_time(fsim_walls[2] as f64),
+            orap_bench::human_time(synth_ns as f64),
+            orap_bench::human_time(sweep_ns as f64),
+            orap_bench::human_time(fsim_walls[0] as f64),
+            orap_bench::human_time(fsim_walls[1] as f64),
+            orap_bench::human_time(fsim_walls[2] as f64),
             faults.len(),
             rss as f64 / (1 << 20) as f64,
         );

@@ -34,7 +34,7 @@ fn main() {
         100.0 * report.kill_rate(),
         report.results.iter().filter(|r| r.killed).count(),
         report.results.len(),
-        orap_bench::timing::human_time(wall_ns as f64),
+        orap_bench::human_time(wall_ns as f64),
     );
 
     let rows: Vec<Json> = report

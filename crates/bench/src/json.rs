@@ -581,7 +581,10 @@ impl ToJson for cdcl::SolverStats {
             eliminated_vars: self.eliminated_vars,
             restored_vars: self.restored_vars,
             vivified_literals: self.vivified_literals,
-            chrono_backtracks: self.chrono_backtracks,
+            // Chronological backtracking is gone; its counter stays in the
+            // export at 0 so the wire transcripts of DESIGN.md §10 keep
+            // their bytes.
+            chrono_backtracks: 0u64,
             restarts_blocked: self.restarts_blocked,
             restarts_forced: self.restarts_forced,
         }

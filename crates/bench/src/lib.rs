@@ -4,7 +4,6 @@
 use std::path::{Path, PathBuf};
 
 pub mod json;
-pub mod timing;
 
 /// Command-line scale options shared by all table binaries.
 ///
@@ -95,6 +94,20 @@ fn write_json<T: json::ToJson>(path: &Path, value: &T) -> std::io::Result<()> {
     std::fs::write(path, text)
 }
 
+/// Formats a nanosecond duration with an adaptive unit (ns/µs/ms/s), for
+/// the walls the `scaling` bench and the `kill_matrix` binary print.
+pub fn human_time(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.3} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.3} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.3} µs", ns / 1e3)
+    } else {
+        format!("{ns:.1} ns")
+    }
+}
+
 /// Picks the control-gate width per benchmark as the paper does (5 inputs
 /// for the two largest ITC'99 circuits, 3 otherwise).
 pub fn control_width(id: netlist::generate::BenchmarkId) -> usize {
@@ -137,6 +150,14 @@ mod tests {
         let o = RunOptions::default();
         assert!(o.scale > 0.0 && o.scale <= 1.0);
         assert!(o.hd_patterns >= 1024);
+    }
+
+    #[test]
+    fn human_units() {
+        assert_eq!(human_time(12.3), "12.3 ns");
+        assert_eq!(human_time(12_300.0), "12.300 µs");
+        assert_eq!(human_time(12_300_000.0), "12.300 ms");
+        assert_eq!(human_time(2_500_000_000.0), "2.500 s");
     }
 
     #[test]

@@ -86,6 +86,29 @@ fn exhaustive_counterexample(
     None
 }
 
+/// An encoder mutant: a fault planted inside the encoder through its
+/// test-only hook, or one planted in the oracle responses the battery
+/// hands it, which needs no hook in production code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncoderFault {
+    /// A fault inside the encoder ([`ReducedEncoder::set_sabotage`]).
+    Sabotage(EncoderSabotage),
+    /// Every oracle response the battery passes to
+    /// [`ReducedEncoder::add_io_constraint`] has output 0 complemented, as
+    /// an encoder that asserts the wrong response bit would constrain.
+    FlipIoConstraintBit,
+}
+
+impl EncoderFault {
+    /// The hook this fault installs on the encoder under test, if any.
+    fn hook(self) -> Option<EncoderSabotage> {
+        match self {
+            EncoderFault::Sabotage(sabotage) => Some(sabotage),
+            EncoderFault::FlipIoConstraintBit => None,
+        }
+    }
+}
+
 /// [`verify::keys_exact_counterexample`] with an optional encoder sabotage
 /// installed — the mutation harness runs the identical check against a
 /// corrupted encoder.
@@ -191,14 +214,38 @@ fn battery_items() -> Vec<LockedCircuit> {
     vec![crafted_gate_lock(), crafted_xor_lock(), rll, wll]
 }
 
+/// Whether one copy of `locked`, constrained to answer `y` on `x`, stays
+/// satisfiable under the correct key. Under the `FlipIoConstraintBit`
+/// fault the encoder is handed `y` with output 0 complemented.
+fn io_constraint_holds(
+    locked: &LockedCircuit,
+    x: &[bool],
+    y: &[bool],
+    fault: Option<EncoderFault>,
+) -> bool {
+    let mut y = y.to_vec();
+    if fault == Some(EncoderFault::FlipIoConstraintBit) {
+        y[0] = !y[0];
+    }
+    let mut solver = Solver::new();
+    let mut enc = ReducedEncoder::new(locked, &mut solver, 1);
+    enc.set_sabotage(fault.and_then(EncoderFault::hook));
+    let ok = enc.add_io_constraint(&mut solver, 0, x, &y);
+    let assumptions: Vec<cdcl::Lit> = enc
+        .key_vars(0)
+        .iter()
+        .zip(&locked.correct_key)
+        .map(|(&v, &b)| v.lit(b))
+        .collect();
+    ok && solver.solve_with(&assumptions) == SolveResult::Sat
+}
+
 /// Runs the encoder battery. `patterns` scales the I/O-constraint check.
 ///
 /// `Ok(())` means the encoder agreed with exhaustive simulation on every
 /// circuit and candidate key; `Err` carries the first discrepancy.
-pub fn encoder_battery(
-    sabotage: Option<EncoderSabotage>,
-    patterns: usize,
-) -> Result<(), String> {
+pub fn encoder_battery(fault: Option<EncoderFault>, patterns: usize) -> Result<(), String> {
+    let sabotage = fault.and_then(EncoderFault::hook);
     for locked in battery_items() {
         let name = locked.circuit.name().to_string();
         let data = data_nets(&locked);
@@ -236,36 +283,14 @@ pub fn encoder_battery(
         for _ in 0..patterns {
             let x: Vec<bool> = (0..data.len()).map(|_| rng.bool()).collect();
             let y = outputs_under(&locked, &data, &x, &locked.correct_key);
-
-            let mut solver = Solver::new();
-            let mut enc = ReducedEncoder::new(&locked, &mut solver, 1);
-            enc.set_sabotage(sabotage);
-            let ok = enc.add_io_constraint(&mut solver, 0, &x, &y);
-            let assumptions: Vec<cdcl::Lit> = enc
-                .key_vars(0)
-                .iter()
-                .zip(&locked.correct_key)
-                .map(|(&v, &b)| v.lit(b))
-                .collect();
-            if !ok || solver.solve_with(&assumptions) != SolveResult::Sat {
+            if !io_constraint_holds(&locked, &x, &y, fault) {
                 return Err(format!(
                     "{name}: correct oracle response on {x:?} rejected by the encoding"
                 ));
             }
-
-            let mut y_bad = y.clone();
+            let mut y_bad = y;
             y_bad[0] = !y_bad[0];
-            let mut solver = Solver::new();
-            let mut enc = ReducedEncoder::new(&locked, &mut solver, 1);
-            enc.set_sabotage(sabotage);
-            let ok = enc.add_io_constraint(&mut solver, 0, &x, &y_bad);
-            let assumptions: Vec<cdcl::Lit> = enc
-                .key_vars(0)
-                .iter()
-                .zip(&locked.correct_key)
-                .map(|(&v, &b)| v.lit(b))
-                .collect();
-            if ok && solver.solve_with(&assumptions) == SolveResult::Sat {
+            if io_constraint_holds(&locked, &x, &y_bad, fault) {
                 return Err(format!(
                     "{name}: corrupted oracle response on {x:?} accepted under the correct key"
                 ));
@@ -314,18 +339,18 @@ mod tests {
 
     #[test]
     fn every_encoder_sabotage_is_detected() {
-        for sab in [
-            EncoderSabotage::FlipGateClauseLit,
-            EncoderSabotage::SkipMiterOutput,
-            EncoderSabotage::FlipIoConstraintBit,
-            EncoderSabotage::FlipXorGadgetLit,
+        for fault in [
+            EncoderFault::Sabotage(EncoderSabotage::FlipGateClauseLit),
+            EncoderFault::Sabotage(EncoderSabotage::SkipMiterOutput),
+            EncoderFault::FlipIoConstraintBit,
+            EncoderFault::Sabotage(EncoderSabotage::FlipXorGadgetLit),
         ] {
-            let r = std::panic::catch_unwind(|| encoder_battery(Some(sab), 6));
+            let r = std::panic::catch_unwind(|| encoder_battery(Some(fault), 6));
             let killed = match &r {
                 Ok(Err(_)) | Err(_) => true,
                 Ok(Ok(())) => false,
             };
-            assert!(killed, "encoder sabotage {sab:?} survived the battery");
+            assert!(killed, "encoder fault {fault:?} survived the battery");
         }
     }
 }

@@ -36,11 +36,13 @@
 //! - [`seqgen`]: a [`qcheck::Gen`] combinator for sequential (DFF-bearing)
 //!   circuits with a shrinker.
 //!
-//! The mutants live behind test-only hooks in the production crates
+//! Most mutants live behind test-only hooks in the production crates
 //! (`CompiledCircuit::mutate_*`, `EvalScratch::sabotage_drop_undo`,
 //! `cdcl::SolverSabotage`, `attacks::aigcnf::EncoderSabotage`); this crate
 //! only ever *activates* them on private copies, never in shipping code
-//! paths. See DESIGN.md §"Conformance and mutation kill" for the rationale
+//! paths. The rest need no hook: the battery corrupts its own inputs or
+//! reads (the scan mutants, a misreported model value, a flipped oracle
+//! response bit). See DESIGN.md §"Conformance and mutation kill" for the rationale
 //! and EXPERIMENTS.md for how to run the full vs smoke matrix and replay
 //! pinned qcheck seeds.
 

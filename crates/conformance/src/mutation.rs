@@ -1,13 +1,15 @@
 //! The mutant catalog and the kill-matrix runner.
 //!
-//! Each mutant is one *semantic* fault planted behind a test-only hook in a
-//! production crate (`netlist`, `cdcl`, `attacks`): wrong gate function,
-//! broken topological order, invisible binary clauses, complemented CNF
-//! literal, and so on. The runner executes the conformance battery that
-//! can observe each mutant's layer and records whether it was **killed**
-//! (some check failed or panicked) or **survived**. A surviving mutant is
-//! a hole in the test suite — the matrix is asserted at 100% kill by
-//! `cargo test` at both scales.
+//! Each mutant is one *semantic* fault: wrong gate function, broken
+//! topological order, invisible binary clauses, complemented CNF literal,
+//! and so on. Most sit behind a test-only hook in a production crate
+//! (`netlist`, `cdcl`, `attacks`). A fault that corrupts only what a
+//! battery feeds in or reads back is planted by the battery itself, so
+//! production code carries no hook for it. The runner executes the
+//! conformance battery that can observe each mutant's layer and records
+//! whether it was **killed** (some check failed or panicked) or
+//! **survived**. A surviving mutant is a hole in the test suite — the
+//! matrix is asserted at 100% kill by `cargo test` at both scales.
 //!
 //! The soundness bar for catalog membership: a mutant must change the
 //! observable semantics of its engine. (E.g. skipping one binary-watch
@@ -23,9 +25,11 @@ use attacks::engine::EngineSabotage;
 use cdcl::SolverSabotage;
 
 use crate::differential::{self, EngineFault};
+use crate::enccheck::{self, EncoderFault};
+use crate::enginecheck;
 use crate::fsimcheck::{self, FsimFault};
+use crate::satcheck::{self, SolverFault};
 use crate::scancheck::{self, ScanSabotage};
-use crate::{enccheck, enginecheck, satcheck};
 
 /// Battery scale. Both run under `cargo test`; `Full` is the scale of the
 /// checked-in kill matrix, `results/BENCH_conformance.json`.
@@ -43,10 +47,10 @@ pub enum Scale {
 pub enum MutantKind {
     /// A compiled-netlist / incremental-kernel fault.
     Engine(EngineFault),
-    /// A CDCL solver sabotage.
-    Solver(SolverSabotage),
-    /// An AIG-CNF encoder sabotage.
-    Encoder(EncoderSabotage),
+    /// A CDCL solver fault.
+    Solver(SolverFault),
+    /// An AIG-CNF encoder fault.
+    Encoder(EncoderFault),
     /// A parallel fault-simulation fault.
     Fsim(FsimFault),
     /// An attack-engine control-layer (`AttackCtl`) sabotage.
@@ -69,7 +73,7 @@ pub struct MutantSpec {
     pub kind: MutantKind,
 }
 
-/// The checked-in mutant catalog: 24 semantic mutants spanning the
+/// The checked-in mutant catalog: 23 semantic mutants spanning the
 /// `netlist`, `sim`(kernel), `atpg`, `sat`, `locking` and `attacks` layers.
 pub fn catalog() -> Vec<MutantSpec> {
     use EngineFault::*;
@@ -126,67 +130,61 @@ pub fn catalog() -> Vec<MutantSpec> {
             id: "sat-skip-binary-watch",
             layer: "sat",
             description: "skip the binary-watch visit pass during unit propagation",
-            kind: MutantKind::Solver(SolverSabotage::SkipBinaryWatch),
+            kind: MutantKind::Solver(SolverFault::Sabotage(SolverSabotage::SkipBinaryWatch)),
         },
         MutantSpec {
             id: "sat-shrink-learnt-clause",
             layer: "sat",
             description: "drop the last literal of every learnt clause of length >= 3",
-            kind: MutantKind::Solver(SolverSabotage::ShrinkLearntClause),
+            kind: MutantKind::Solver(SolverFault::Sabotage(SolverSabotage::ShrinkLearntClause)),
         },
         MutantSpec {
             id: "sat-misreport-value",
             layer: "sat",
             description: "complement the model value reported for variable 0",
-            kind: MutantKind::Solver(SolverSabotage::MisreportValue),
+            kind: MutantKind::Solver(SolverFault::MisreportValue),
         },
         MutantSpec {
             id: "sat-unsound-subsumption",
             layer: "sat",
             description: "subsume by variable set instead of literal set during inprocessing",
-            kind: MutantKind::Solver(SolverSabotage::UnsoundSubsumption),
+            kind: MutantKind::Solver(SolverFault::Sabotage(SolverSabotage::UnsoundSubsumption)),
         },
         MutantSpec {
             id: "sat-bve-drop-resolvent",
             layer: "sat",
             description: "drop the last resolvent when eliminating a variable",
-            kind: MutantKind::Solver(SolverSabotage::BveDropResolvent),
+            kind: MutantKind::Solver(SolverFault::Sabotage(SolverSabotage::BveDropResolvent)),
         },
         MutantSpec {
             id: "sat-vivify-drop-literal",
             layer: "sat",
             description: "vivification drops a literal the probe never proved redundant",
-            kind: MutantKind::Solver(SolverSabotage::VivifyDropLiteral),
-        },
-        MutantSpec {
-            id: "sat-chrono-mislabel-level",
-            layer: "sat",
-            description: "record a chronologically backtracked literal at the backjump level",
-            kind: MutantKind::Solver(SolverSabotage::ChronoMislabelLevel),
+            kind: MutantKind::Solver(SolverFault::Sabotage(SolverSabotage::VivifyDropLiteral)),
         },
         MutantSpec {
             id: "attacks-flip-gate-clause-lit",
             layer: "attacks",
             description: "complement one literal in the AND-gate CNF clauses",
-            kind: MutantKind::Encoder(EncoderSabotage::FlipGateClauseLit),
+            kind: MutantKind::Encoder(EncoderFault::Sabotage(EncoderSabotage::FlipGateClauseLit)),
         },
         MutantSpec {
             id: "attacks-skip-miter-output",
             layer: "attacks",
             description: "drop the last key-dependent output from the miter disjunction",
-            kind: MutantKind::Encoder(EncoderSabotage::SkipMiterOutput),
+            kind: MutantKind::Encoder(EncoderFault::Sabotage(EncoderSabotage::SkipMiterOutput)),
         },
         MutantSpec {
             id: "attacks-flip-io-constraint-bit",
             layer: "attacks",
             description: "complement the oracle response bit asserted for output 0",
-            kind: MutantKind::Encoder(EncoderSabotage::FlipIoConstraintBit),
+            kind: MutantKind::Encoder(EncoderFault::FlipIoConstraintBit),
         },
         MutantSpec {
             id: "attacks-flip-xor-gadget-lit",
             layer: "attacks",
             description: "complement one literal in the 4-clause XOR-cluster gadget",
-            kind: MutantKind::Encoder(EncoderSabotage::FlipXorGadgetLit),
+            kind: MutantKind::Encoder(EncoderFault::Sabotage(EncoderSabotage::FlipXorGadgetLit)),
         },
         MutantSpec {
             id: "attacks-skip-interrupt-poll",
@@ -346,9 +344,11 @@ fn run_battery(kind: Option<MutantKind>, scale: Scale) -> Result<(), String> {
             }
             Ok(())
         }
-        Some(MutantKind::Solver(sab)) => satcheck::solver_battery(Some(sab), cnf_instances(scale)),
-        Some(MutantKind::Encoder(sab)) => {
-            enccheck::encoder_battery(Some(sab), enc_patterns(scale))
+        Some(MutantKind::Solver(fault)) => {
+            satcheck::solver_battery(Some(fault), cnf_instances(scale))
+        }
+        Some(MutantKind::Encoder(fault)) => {
+            enccheck::encoder_battery(Some(fault), enc_patterns(scale))
         }
         Some(MutantKind::Fsim(f)) => fsimcheck::fsim_battery(Some(f)),
         Some(MutantKind::AttackEngine(sab)) => enginecheck::engine_battery(Some(sab)),

@@ -4,7 +4,7 @@
 //!
 //! 1. **unit truthfulness** — unit clauses must surface verbatim through
 //!    [`cdcl::Solver::value`] (variable 0 included, which is exactly where
-//!    the `MisreportValue` mutant lies).
+//!    the [`SolverFault::MisreportValue`] mutant lies).
 //! 2. **binary-only UNSAT** — the four binary clauses
 //!    `(a∨b)(¬a∨b)(a∨¬b)(¬a∨¬b)` are unsatisfiable purely through the
 //!    dedicated binary watch lists; a solver that stops visiting them
@@ -20,26 +20,26 @@
 //!    shortening an implied clause (3c), vivification *not* shortening a
 //!    clause the probe proved nothing about (3d), and the known-UNSAT
 //!    pigeonhole formula PHP(8,7), whose few thousand conflicts make
-//!    distance-1 chronological backtracks and EMA-forced restarts fire
-//!    deterministically (3e).
+//!    EMA-forced restarts fire deterministically (3e).
 //! 4. **random CNFs vs exhaustive enumeration** — three sub-banks, each
 //!    instance solved under two configs: a mixed-width bank near the
 //!    satisfiability threshold, a hard pure 3-CNF bank (n = 14, m = 60)
-//!    whose long conflict analyses flush out unsound learnt-clause handling
-//!    and mislabeled chronological levels, and a sparse wide-variable bank
-//!    (n = 16, widths 1–3) where variable elimination fires heavily. The
-//!    second config is the everything-on inprocessing one (simplification
-//!    round before every solve, EMA restarts) — except on the hard bank,
-//!    where inprocessing would collapse the instances before any search
-//!    happens and the chrono/EMA config (inprocessing off, chronological
-//!    backtracking from distance 1) runs instead. Sparse instances
-//!    additionally take an incremental step — an extra random clause plus
-//!    an assumption, checked against brute force on the extended formula —
-//!    which usually mentions variables the first solve eliminated
-//!    (restore-on-demand).
+//!    whose long conflict analyses flush out unsound learnt-clause
+//!    handling, and a sparse wide-variable bank (n = 16, widths 1–3) where
+//!    variable elimination fires heavily. The second config is the
+//!    everything-on inprocessing one (simplification round before every
+//!    solve, EMA restarts) — except on the hard bank, where inprocessing
+//!    would collapse the instances before any search happens and the
+//!    restart config (inprocessing off, EMA restarts re-evaluated every
+//!    other conflict) runs instead. Sparse instances additionally take an
+//!    incremental step — an extra random clause plus an assumption,
+//!    checked against brute force on the extended formula — which usually
+//!    mentions variables the first solve eliminated (restore-on-demand).
 //!
-//! The battery takes the sabotage selector so the mutation harness can run
-//! the identical checks against a sabotaged solver.
+//! The battery takes the fault selector so the mutation harness can run
+//! the identical checks against a faulty solver.
+
+use std::ops::{Deref, DerefMut};
 
 use cdcl::{SolveResult, Solver, SolverConfig, SolverSabotage};
 use netlist::rng::SplitMix64;
@@ -47,44 +47,90 @@ use netlist::rng::SplitMix64;
 /// One clause as (variable index, polarity) pairs; `true` = positive.
 type Clause = Vec<(usize, bool)>;
 
-fn fresh_solver(sabotage: Option<SolverSabotage>) -> Solver {
-    let mut s = Solver::new();
-    s.set_sabotage(sabotage);
-    s
+/// A solver mutant: a fault planted inside the solver through its
+/// test-only hook, or one planted in the battery's own reads of the
+/// model, which needs no hook in production code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverFault {
+    /// A fault inside the solver ([`Solver::set_sabotage`]).
+    Sabotage(SolverSabotage),
+    /// Every model value the battery reads for variable 0 is complemented,
+    /// as a solver that misreports its model would answer.
+    MisreportValue,
+}
+
+/// A solver as the battery sees it: every model read goes through
+/// [`BatterySolver::value`], where the `MisreportValue` fault lies.
+struct BatterySolver {
+    solver: Solver,
+    misreport: bool,
+}
+
+impl BatterySolver {
+    fn new(config: SolverConfig, fault: Option<SolverFault>) -> Self {
+        let mut solver = Solver::with_config(config);
+        if let Some(SolverFault::Sabotage(sabotage)) = fault {
+            solver.set_sabotage(Some(sabotage));
+        }
+        BatterySolver {
+            solver,
+            misreport: fault == Some(SolverFault::MisreportValue),
+        }
+    }
+
+    /// [`Solver::value`], complemented for variable 0 under the
+    /// `MisreportValue` fault.
+    fn value(&self, v: cdcl::Var) -> Option<bool> {
+        let flip = self.misreport && v.index() == 0;
+        self.solver.value(v).map(|b| b != flip)
+    }
+}
+
+impl Deref for BatterySolver {
+    type Target = Solver;
+
+    fn deref(&self) -> &Solver {
+        &self.solver
+    }
+}
+
+impl DerefMut for BatterySolver {
+    fn deref_mut(&mut self) -> &mut Solver {
+        &mut self.solver
+    }
+}
+
+fn fresh_solver(fault: Option<SolverFault>) -> BatterySolver {
+    BatterySolver::new(SolverConfig::default(), fault)
 }
 
 /// Everything-on inprocessing: a simplification round before every solve,
-/// chronological backtracking from backjump distance 1, EMA restarts
-/// re-evaluated every other conflict. Small instances would never trigger
-/// any of it under the defaults.
-fn aggressive_solver(sabotage: Option<SolverSabotage>) -> Solver {
-    let mut s = Solver::with_config(SolverConfig {
+/// EMA restarts re-evaluated every other conflict. Small instances would
+/// never trigger any of it under the defaults.
+fn aggressive_solver(fault: Option<SolverFault>) -> BatterySolver {
+    let config = SolverConfig {
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        chrono_threshold: 1,
         inprocess_trigger: 1,
         inprocess_min_clauses: 0,
-    });
-    s.set_sabotage(sabotage);
-    s
+    };
+    BatterySolver::new(config, fault)
 }
 
 /// The aggressive config *minus* inprocessing. A simplification round
 /// collapses the small bank instances before any search happens (zero
-/// conflicts), so chronological backtracking and EMA restarts need a config
-/// that leaves the formulas intact.
-fn chrono_solver(sabotage: Option<SolverSabotage>) -> Solver {
-    let mut s = Solver::with_config(SolverConfig {
+/// conflicts), so EMA restarts and DB reductions need a config that leaves
+/// the formulas intact.
+fn restart_solver(fault: Option<SolverFault>) -> BatterySolver {
+    let config = SolverConfig {
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        chrono_threshold: 1,
         inprocess_trigger: 0,
         ..SolverConfig::default()
-    });
-    s.set_sabotage(sabotage);
-    s
+    };
+    BatterySolver::new(config, fault)
 }
 
 /// Deterministic random CNF: `m` clauses of exactly 3 distinct literals
@@ -138,7 +184,7 @@ fn brute_force(n: usize, clauses: &[Clause]) -> Option<u64> {
     None
 }
 
-fn model_satisfies(solver: &Solver, vars: &[cdcl::Var], clauses: &[Clause]) -> bool {
+fn model_satisfies(solver: &BatterySolver, vars: &[cdcl::Var], clauses: &[Clause]) -> bool {
     clauses.iter().all(|clause| {
         clause
             .iter()
@@ -148,7 +194,7 @@ fn model_satisfies(solver: &Solver, vars: &[cdcl::Var], clauses: &[Clause]) -> b
 
 /// The model must satisfy every *original* clause — including clauses whose
 /// variables the inprocessing layer eliminated and reconstructed.
-fn check_model(s: &Solver, clauses: &[Vec<cdcl::Lit>], what: &str) -> Result<(), String> {
+fn check_model(s: &BatterySolver, clauses: &[Vec<cdcl::Lit>], what: &str) -> Result<(), String> {
     for c in clauses {
         if !c.iter().any(|&l| s.value(l.var()) == Some(l.is_positive())) {
             return Err(format!("{what}: model violates original clause {c:?}"));
@@ -161,12 +207,9 @@ fn check_model(s: &Solver, clauses: &[Vec<cdcl::Lit>], what: &str) -> Result<(),
 ///
 /// `Ok(())` means every check passed; `Err` carries the first
 /// inconsistency (in mutation mode, the kill message).
-pub fn solver_battery(
-    sabotage: Option<SolverSabotage>,
-    instances: usize,
-) -> Result<(), String> {
+pub fn solver_battery(fault: Option<SolverFault>, instances: usize) -> Result<(), String> {
     // 1. Unit truthfulness.
-    let mut s = fresh_solver(sabotage);
+    let mut s = fresh_solver(fault);
     let a = s.new_var();
     let b = s.new_var();
     s.add_clause(&[a.positive()]);
@@ -189,9 +232,9 @@ pub fn solver_battery(
     //    of the four and flips the verdict to SAT).
     for aggressive in [false, true] {
         let mut s = if aggressive {
-            aggressive_solver(sabotage)
+            aggressive_solver(fault)
         } else {
-            fresh_solver(sabotage)
+            fresh_solver(fault)
         };
         let a = s.new_var();
         let b = s.new_var();
@@ -211,7 +254,7 @@ pub fn solver_battery(
     //     (so elimination cannot eat the clauses first), (a∨b) subsumes
     //     (a∨b∨c) and strengthens (¬a∨b∨c) to (b∨c). Both counters must
     //     move, and the model must satisfy the *original* clauses.
-    let mut s = aggressive_solver(sabotage);
+    let mut s = aggressive_solver(fault);
     let a = s.new_var();
     let b = s.new_var();
     let c = s.new_var();
@@ -244,7 +287,7 @@ pub fn solver_battery(
     //     search pick a=b=false, and reconstruction then sets x=true,
     //     violating (¬x∨b). A later clause mentioning x plus an assumed
     //     literal exercises restore-on-demand across an incremental call.
-    let mut s = aggressive_solver(sabotage);
+    let mut s = aggressive_solver(fault);
     let a = s.new_var();
     let x = s.new_var();
     let b = s.new_var();
@@ -285,7 +328,7 @@ pub fn solver_battery(
     // 3c. Vivification. With a, c, d frozen, b is eliminated to the
     //     resolvent (a∨c); probing (a∨c∨d) then assumes ¬a, propagates c
     //     to true through (a∨c), and drops d from the clause.
-    let mut s = aggressive_solver(sabotage);
+    let mut s = aggressive_solver(fault);
     let a = s.new_var();
     let b = s.new_var();
     let c = s.new_var();
@@ -312,7 +355,7 @@ pub fn solver_battery(
     // 3d. Vivification soundness: (a∨b∨c) alone proves nothing under any
     //     probe, so the clause must survive intact. Solving under ¬a ∧ ¬b
     //     is SAT only through the literal a buggy pass would drop.
-    let mut s = aggressive_solver(sabotage);
+    let mut s = aggressive_solver(fault);
     let a = s.new_var();
     let b = s.new_var();
     let c = s.new_var();
@@ -327,13 +370,11 @@ pub fn solver_battery(
         return Err("vivification soundness check: c must be forced true".into());
     }
 
-    // 3e. Chronological backtracking + EMA restarts: the pigeonhole formula
-    //     PHP(8,7) is known-UNSAT and needs a few thousand conflicts, during
-    //     which distance-1 chronological backtracks and fast/slow LBD
-    //     crossovers both fire deterministically. The conflict budget bounds
-    //     a sabotaged solver that would otherwise wander forever on
-    //     corrupted levels.
-    let mut s = chrono_solver(sabotage);
+    // 3e. EMA restarts: the pigeonhole formula PHP(8,7) is known-UNSAT and
+    //     needs a few thousand conflicts, during which fast/slow LBD
+    //     crossovers fire deterministically. The conflict budget bounds a
+    //     sabotaged solver that would otherwise wander forever.
+    let mut s = restart_solver(fault);
     let (pigeons, holes) = (8usize, 7usize);
     let pv: Vec<Vec<cdcl::Var>> = (0..pigeons)
         .map(|_| (0..holes).map(|_| s.new_var()).collect())
@@ -357,12 +398,8 @@ pub fn solver_battery(
             "pigeonhole check: PHP({pigeons},{holes}) must be UNSAT, solver says {verdict:?}"
         ));
     }
-    if s.stats().chrono_backtracks == 0 || s.stats().restarts_forced == 0 {
-        return Err(format!(
-            "pigeonhole check: chrono/restart machinery never fired (chrono={}, forced={})",
-            s.stats().chrono_backtracks,
-            s.stats().restarts_forced
-        ));
+    if s.stats().restarts_forced == 0 {
+        return Err("pigeonhole check: EMA restarts never forced".into());
     }
 
     // 4. Random CNFs vs brute force. Three sub-banks share the check loop
@@ -370,8 +407,8 @@ pub fn solver_battery(
     //    and every instance runs under both the default and the
     //    everything-on inprocessing configs. Near-threshold instances have
     //    few models and force long conflict analyses — where unsound learnt
-    //    strengthening and mislabeled chronological levels flip verdicts —
-    //    while sparse instances make elimination fire on real formulas.
+    //    strengthening flips verdicts — while sparse instances make
+    //    elimination fire on real formulas.
     let mut mixed_rng = SplitMix64::new(0xCDC1_C0DE);
     let mut hard_rng = SplitMix64::new(0x3C4F_5A7D);
     let mut sparse_rng = SplitMix64::new(0x5BA4_5E17);
@@ -430,13 +467,13 @@ pub fn solver_battery(
         };
 
         for aggressive in [false, true] {
-            // The hard bank's second run gets the chrono/EMA config instead:
+            // The hard bank's second run gets the restart config instead:
             // under full inprocessing these instances collapse before any
-            // search happens, leaving chronological backtracking untested.
+            // search happens, leaving restarts and DB reductions untested.
             let mut s = match (aggressive, bank) {
-                (false, _) => fresh_solver(sabotage),
-                (true, 1) => chrono_solver(sabotage),
-                (true, _) => aggressive_solver(sabotage),
+                (false, _) => fresh_solver(fault),
+                (true, 1) => restart_solver(fault),
+                (true, _) => aggressive_solver(fault),
             };
             let vars: Vec<cdcl::Var> = (0..n).map(|_| s.new_var()).collect();
             let mut consistent = true;
@@ -541,21 +578,20 @@ mod tests {
 
     #[test]
     fn every_solver_sabotage_is_detected() {
-        for sab in [
-            SolverSabotage::SkipBinaryWatch,
-            SolverSabotage::ShrinkLearntClause,
-            SolverSabotage::MisreportValue,
-            SolverSabotage::UnsoundSubsumption,
-            SolverSabotage::BveDropResolvent,
-            SolverSabotage::VivifyDropLiteral,
-            SolverSabotage::ChronoMislabelLevel,
+        for fault in [
+            SolverFault::Sabotage(SolverSabotage::SkipBinaryWatch),
+            SolverFault::Sabotage(SolverSabotage::ShrinkLearntClause),
+            SolverFault::MisreportValue,
+            SolverFault::Sabotage(SolverSabotage::UnsoundSubsumption),
+            SolverFault::Sabotage(SolverSabotage::BveDropResolvent),
+            SolverFault::Sabotage(SolverSabotage::VivifyDropLiteral),
         ] {
-            let r = std::panic::catch_unwind(|| solver_battery(Some(sab), 48));
+            let r = std::panic::catch_unwind(|| solver_battery(Some(fault), 48));
             let killed = match &r {
                 Ok(Err(_)) | Err(_) => true,
                 Ok(Ok(())) => false,
             };
-            assert!(killed, "solver sabotage {sab:?} survived the battery");
+            assert!(killed, "solver fault {fault:?} survived the battery");
         }
     }
 }

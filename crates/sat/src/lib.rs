@@ -11,8 +11,6 @@
 //!   minimization (a literal goes when its reason clause is absorbed),
 //! - exponential VSIDS branching with phase saving,
 //! - adaptive restarts: Glucose-style EMA blocking/forcing restarts,
-//! - chronological backtracking for conflicts whose backjump would undo a
-//!   long stretch of still-consistent assignments,
 //! - literal-block-distance (LBD) tracking with glue-clause protection and
 //!   LBD-driven learnt-clause database reduction,
 //! - an inprocessing layer scheduled between incremental solves:

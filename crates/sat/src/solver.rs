@@ -76,8 +76,8 @@ const CLA_DECAY: f32 = 0.999;
 /// Search schedule parameters, all with MiniSat/Glucose-class defaults.
 ///
 /// Production solves run the defaults. Tests lower these so inprocessing,
-/// chronological backtracking, EMA restarts and learnt-clause DB reduction
-/// fire on tiny formulas (see `EXPERIMENTS.md`, "Solver knobs").
+/// EMA restarts and learnt-clause DB reduction fire on tiny formulas (see
+/// `EXPERIMENTS.md`, "Solver knobs").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
     /// Minimum conflicts between EMA restart decisions (both forcing and
@@ -91,12 +91,6 @@ pub struct SolverConfig {
     /// Increment added to the reduction interval after every reduction, so
     /// the DB is allowed to grow over time.
     pub reduce_increment: u64,
-    /// Chronological backtracking threshold: when a conflict's backjump
-    /// would undo more than this many decision levels, backtrack a single
-    /// level instead and let the asserting literal propagate from there,
-    /// preserving the (still consistent) intermediate assignments. `0`
-    /// disables chronological backtracking.
-    pub chrono_threshold: u32,
     /// Inprocessing trigger: a simplification round (subsumption +
     /// strengthening, bounded variable elimination, vivification) runs at
     /// the start of a solve once the clauses added since the last round
@@ -120,7 +114,6 @@ impl Default for SolverConfig {
             restart_min_interval: 50,
             reduce_base: 2000,
             reduce_increment: 300,
-            chrono_threshold: 64,
             inprocess_trigger: 64,
             inprocess_min_clauses: 2000,
         }
@@ -167,41 +160,10 @@ pub struct SolverStats {
     pub restored_vars: u64,
     /// Literals removed from clauses by vivification.
     pub vivified_literals: u64,
-    /// Chronological backtracks taken instead of full backjumps.
-    pub chrono_backtracks: u64,
     /// EMA restarts blocked because the trail was unusually deep.
     pub restarts_blocked: u64,
     /// EMA restarts forced by the fast/slow LBD crossover.
     pub restarts_forced: u64,
-}
-
-impl SolverStats {
-    /// Difference `self - earlier`, for per-phase deltas of cumulative
-    /// counters.
-    #[must_use]
-    pub fn since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            solves: self.solves - earlier.solves,
-            decisions: self.decisions - earlier.decisions,
-            propagations: self.propagations - earlier.propagations,
-            conflicts: self.conflicts - earlier.conflicts,
-            restarts: self.restarts - earlier.restarts,
-            learned_clauses: self.learned_clauses - earlier.learned_clauses,
-            learned_literals_pre: self.learned_literals_pre - earlier.learned_literals_pre,
-            learned_literals_post: self.learned_literals_post - earlier.learned_literals_post,
-            db_reductions: self.db_reductions - earlier.db_reductions,
-            clauses_deleted: self.clauses_deleted - earlier.clauses_deleted,
-            inprocessings: self.inprocessings - earlier.inprocessings,
-            subsumed_clauses: self.subsumed_clauses - earlier.subsumed_clauses,
-            strengthened_clauses: self.strengthened_clauses - earlier.strengthened_clauses,
-            eliminated_vars: self.eliminated_vars - earlier.eliminated_vars,
-            restored_vars: self.restored_vars - earlier.restored_vars,
-            vivified_literals: self.vivified_literals - earlier.vivified_literals,
-            chrono_backtracks: self.chrono_backtracks - earlier.chrono_backtracks,
-            restarts_blocked: self.restarts_blocked - earlier.restarts_blocked,
-            restarts_forced: self.restarts_forced - earlier.restarts_forced,
-        }
-    }
 }
 
 /// A CDCL SAT solver. See the [crate documentation](crate) for an overview
@@ -313,8 +275,6 @@ pub enum SolverSabotage {
     /// last literal dropped — an unsound strengthening that can turn
     /// satisfiable formulas `Unsat`.
     ShrinkLearntClause,
-    /// [`Solver::value`] reports the opposite polarity for variable 0.
-    MisreportValue,
     /// Inprocessing subsumption compares variables while ignoring polarity,
     /// deleting clauses that are not actually subsumed (the formula weakens,
     /// so models may violate deleted constraints).
@@ -326,10 +286,6 @@ pub enum SolverSabotage {
     /// the probe proved nothing — an unsound strengthening that can turn
     /// satisfiable formulas `Unsat`.
     VivifyDropLiteral,
-    /// Chronological backtracking records the asserting literal at the
-    /// analyzed backjump level instead of the level it is actually enqueued
-    /// at, corrupting later conflict analysis.
-    ChronoMislabelLevel,
 }
 
 impl Default for Solver {
@@ -504,12 +460,6 @@ impl Solver {
             self.assigns[v.index()]
         } else {
             self.assigns_model[v.index()]
-        };
-        // Fault injection (test-only): misreport variable 0's polarity.
-        let a = if v.index() == 0 && self.sabotage == Some(SolverSabotage::MisreportValue) {
-            -a
-        } else {
-            a
         };
         match a {
             TRUE => Some(true),
@@ -1184,23 +1134,7 @@ impl Solver {
                         result = SolveResult::Unsat;
                         break 'main;
                     }
-                    // Chronological backtracking (weak variant): when the
-                    // backjump would undo a long stretch of still-consistent
-                    // assignments, step back a single level instead. The
-                    // asserting literal is recorded at its *enqueue* level
-                    // (dl - 1), which keeps the trail's per-level sections
-                    // intact; the overestimated level is sound for analysis.
-                    // Unit learnt clauses always go to the root.
-                    let dl = self.decision_level();
-                    let chrono = self.config.chrono_threshold > 0
-                        && learnt.len() >= 2
-                        && dl - bt > self.config.chrono_threshold;
-                    if chrono {
-                        self.stats.chrono_backtracks += 1;
-                        self.backtrack_to(dl - 1);
-                    } else {
-                        self.backtrack_to(bt);
-                    }
+                    self.backtrack_to(bt);
                     self.stats.learned_clauses += 1;
                     if learnt.len() == 1 {
                         // Unit clauses are asserted at the root; any
@@ -1218,15 +1152,6 @@ impl Solver {
                         self.bump_clause(cref);
                         if self.lit_value(learnt[0]) == UNDEF {
                             self.unchecked_enqueue(learnt[0], cref);
-                            if chrono
-                                && self.sabotage == Some(SolverSabotage::ChronoMislabelLevel)
-                            {
-                                // Fault injection (test-only): record the
-                                // asserting literal at the analyzed backjump
-                                // level, as if the intermediate levels had
-                                // been undone.
-                                self.level[learnt[0].var().index()] = bt;
-                            }
                         }
                     }
                     self.var_inc /= VAR_DECAY;

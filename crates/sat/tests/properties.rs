@@ -20,24 +20,21 @@ fn hostile_config() -> SolverConfig {
 }
 
 /// Everything-on inprocessing: a simplification round before (almost) every
-/// solve, chronological backtracking from distance 1, EMA restarts
-/// re-evaluated every other conflict.
+/// solve, EMA restarts re-evaluated every other conflict.
 fn aggressive_config() -> SolverConfig {
     SolverConfig {
         restart_min_interval: 2,
         reduce_base: 2,
         reduce_increment: 2,
-        chrono_threshold: 1,
         inprocess_trigger: 1,
         inprocess_min_clauses: 0,
     }
 }
 
-/// Everything-off counterpart: no chronological backtracking, no
-/// inprocessing — the pre-inprocessing solver.
+/// Everything-off counterpart: no inprocessing — the pre-inprocessing
+/// solver.
 fn plain_config() -> SolverConfig {
     SolverConfig {
-        chrono_threshold: 0,
         inprocess_trigger: 0,
         ..SolverConfig::default()
     }

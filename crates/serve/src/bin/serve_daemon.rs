@@ -6,9 +6,10 @@
 //! ```
 //!
 //! `--port 0` (the default) binds an ephemeral port; `--announce FILE`
-//! writes the bound port to `FILE` once listening, which is how `ci.sh`
-//! and the load harness find a freshly started daemon. The process exits
-//! when a client sends the `shutdown` op.
+//! writes the bound port and a newline to `FILE` once listening, which is
+//! how a script or `tests/daemon_process.rs` finds a freshly started
+//! daemon. The process exits with status 0 when a client sends the
+//! `shutdown` op, and with status 2 on an unknown flag or a bad value.
 
 use serve::server::{Server, ServerConfig};
 
@@ -50,7 +51,6 @@ fn main() {
                 announce = Some(need(i));
                 i += 2;
             }
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }

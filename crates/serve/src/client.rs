@@ -1,6 +1,7 @@
 //! A blocking client for the `ORP1` protocol — the reference "second
-//! implementation" of DESIGN.md §10 that the load harness and the tests
-//! drive. Request ids are assigned per connection, starting at 1.
+//! implementation" of DESIGN.md §10 that the tests and the benchmark's
+//! `serve-mixed` workload drive. Request ids are assigned per connection,
+//! starting at 1.
 
 use std::io;
 use std::net::TcpStream;
@@ -71,6 +72,12 @@ impl Client {
         ];
         obj.extend(fields);
         proto::write_frame(&mut self.stream, Json::Object(obj).compact().as_bytes())?;
+        self.read_response()
+    }
+
+    /// Reads one response frame; an `ok:false` response becomes
+    /// [`ClientError::Server`].
+    fn read_response(&mut self) -> Result<Json, ClientError> {
         let payload = match proto::read_frame(&mut self.stream)? {
             FrameRead::Payload(p) => p,
             FrameRead::Eof => {
@@ -207,33 +214,15 @@ impl Client {
     /// [`ClientError::Server`] with code 200 for an unknown job, 201 for a
     /// cursor past the end of a closed stream; transport errors otherwise.
     pub fn subscribe(&mut self, job_id: u64, from: u64) -> Result<(Vec<(u64, Json)>, Json), ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let obj = vec![
-            ("id".to_string(), id.to_json()),
-            ("op".to_string(), "subscribe".to_json()),
-            ("job_id".to_string(), job_id.to_json()),
-            ("from".to_string(), from.to_json()),
-        ];
-        proto::write_frame(&mut self.stream, Json::Object(obj).compact().as_bytes())?;
+        let mut msg = self.request(
+            "subscribe",
+            vec![
+                ("job_id".to_string(), job_id.to_json()),
+                ("from".to_string(), from.to_json()),
+            ],
+        )?;
         let mut events = Vec::new();
         loop {
-            let payload = match proto::read_frame(&mut self.stream)? {
-                FrameRead::Payload(p) => p,
-                FrameRead::Eof => {
-                    return Err(ClientError::Protocol("connection closed mid-subscribe".into()))
-                }
-                FrameRead::Malformed(why) => return Err(ClientError::Protocol(why.to_string())),
-            };
-            let text = std::str::from_utf8(&payload)
-                .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
-            let msg = orap_bench::json::parse(text)
-                .map_err(|e| ClientError::Protocol(format!("bad response json: {e}")))?;
-            if proto::get(&msg, "ok").and_then(proto::as_bool) != Some(true) {
-                let code = proto::get_u64(&msg, "code").unwrap_or(0);
-                let err = proto::get_str(&msg, "error").unwrap_or("").to_string();
-                return Err(ClientError::Server(code, err));
-            }
             if proto::get(&msg, "done").and_then(proto::as_bool) == Some(true) {
                 return Ok((events, msg));
             }
@@ -243,6 +232,7 @@ impl Client {
                 .cloned()
                 .ok_or_else(|| ClientError::Protocol("subscribe frame missing event".into()))?;
             events.push((seq, event));
+            msg = self.read_response()?;
         }
     }
 

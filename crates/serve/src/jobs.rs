@@ -4,11 +4,11 @@
 //! DESIGN.md §10.3), validated *before* queueing (schema errors are
 //! protocol errors, not failed jobs), and executed against [`ServeState`]:
 //! the two content-hashed caches. Job adapters checkpoint between pipeline
-//! stages; `attack` jobs go further and hand the [`JobCtx`]'s cancel flag
-//! and deadline to the attack engine's `AttackCtl`, so cancellation and
-//! timeouts fire per engine step — and, through the CDCL conflict-budget
-//! hook, even mid-solve. Engine progress events are rendered into the
-//! job's progress log for the `subscribe` op.
+//! stages; `attack` and `verify` jobs go further and hand the [`JobCtx`]'s
+//! cancel flag and deadline to an `AttackCtl`, so cancellation and timeouts
+//! fire per engine step — and, through the solver's interrupt hook, even
+//! mid-solve. Engine progress events are rendered into the job's progress
+//! log for the `subscribe` op.
 //!
 //! Security model, mirroring the paper: the daemon holds each lock's
 //! correct key server-side and **never returns it**. Clients get the
@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use atpg::AtpgConfig;
-use attacks::engine::{self, AttackCtl, AttackEngine, ProgressEvent};
+use attacks::engine::{self, AttackCtl, AttackEngine, Interrupt, ProgressEvent};
 use attacks::{
     appsat, double_dip, dyn_unlock, hill_climbing, sat, sensitization, CombOracle, FailureReason,
 };
@@ -678,7 +678,21 @@ pub fn run_job(state: &ServeState, ctx: &JobCtx, spec: &JobSpec) -> Result<Json,
                 )));
             }
             ctx.checkpoint()?;
-            let cex = attacks::verify::key_exact_counterexample(&art.locked, key);
+            // The same interrupt sources as an attack job, so a long exact
+            // verify honours `cancel` and `timeout_ms` mid-solve.
+            let ctl = AttackCtl::new()
+                .with_cancel(ctx.cancel_flag())
+                .with_deadline(ctx.deadline());
+            let cex = attacks::verify::keys_exact_counterexample_ctl(
+                &art.locked,
+                key,
+                &art.locked.correct_key,
+                &ctl,
+            )
+            .map_err(|i| match i {
+                Interrupt::Cancelled => JobError::Cancelled,
+                _ => JobError::TimedOut,
+            })?;
             Ok(json_object! {
                 exact: cex.is_none(),
                 counterexample: cex.as_deref().map(proto::key_to_bits),

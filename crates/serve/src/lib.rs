@@ -23,11 +23,12 @@
 //!   circuit compile it exactly once).
 //! - [`jobs`]: the job kinds and their adapters over the shared artifacts.
 //! - [`server`] / [`client`]: the daemon loop and a small blocking client
-//!   used by the load harness, the golden tests and `ci.sh`.
+//!   used by the tests and the repository benchmark's `serve-mixed`
+//!   workload.
 //!
-//! Binaries: `serve_daemon` (the daemon) and `serve_load` (the load-test
-//! harness replaying concurrent lock→attack→verify sessions and writing
-//! throughput + latency percentiles to `results/BENCH_serve.json`; see
+//! The one binary, `serve_daemon`, runs the daemon as a process;
+//! `tests/daemon_process.rs` drives it end to end. Serving throughput and
+//! latency are measured by the benchmark's `serve-mixed` workload (see
 //! EXPERIMENTS.md "Serving").
 //!
 //! # Example

@@ -486,9 +486,8 @@ fn op_stats(id: u64, shared: &Arc<Shared>) -> Json {
     )
 }
 
-/// JSON shape of [`crate::cache::CacheStats`] (also embedded in the load
-/// harness results).
-pub fn cache_json(s: &crate::cache::CacheStats) -> Json {
+/// JSON shape of [`crate::cache::CacheStats`] in the `stats` op.
+fn cache_json(s: &crate::cache::CacheStats) -> Json {
     json_object! {
         entries: s.entries,
         capacity: s.capacity,

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use orap_bench::json::Json;
 use orap_bench::json_object;
 use serve::client::{Client, ClientError};
 use serve::proto;
@@ -110,35 +111,26 @@ fn timeout_interrupts_running_job() {
     handle.stop();
 }
 
-/// A short per-job timeout fires *mid-solve* on a SAT attack whose first
-/// miter solve alone far outlasts it: the engine layer hands the job
-/// deadline to the CDCL conflict-budget hook, so the job lands in
-/// `timed_out` promptly instead of grinding through the full attack.
-#[test]
-fn timeout_interrupts_sat_attack_mid_solve() {
+/// Locks a ~20k-gate circuit with 32 RLL key bits on a one-worker daemon,
+/// submits `job(bench, artifact)` with a 200 ms timeout, and asserts that
+/// it lands in `timed_out` well within 30 s. Each miter solve on this lock
+/// is long enough that a stage-boundary checkpoint would be far too coarse
+/// to honour the deadline.
+fn assert_times_out_mid_solve(job: impl FnOnce(&str, String) -> Json) {
     let (mut handle, addr) = start(1);
     let mut c = connect(&addr);
-
-    // ~20k gates, 32 key bits: each DIP solve is long enough that a
-    // stage-boundary checkpoint would be far too coarse to honour a 200 ms
-    // deadline.
     let comb = netlist::generate::random_comb(7, 48, 24, 20_000).unwrap();
     let bench = netlist::bench::write(&comb);
-    let job = c.submit_lock(&bench, "rll", 32, 11).unwrap();
-    let done = c.wait_result(job).unwrap();
+    let lock = c.submit_lock(&bench, "rll", 32, 11).unwrap();
+    let done = c.wait_result(lock).unwrap();
     assert_eq!(proto::get_str(&done, "state"), Some("done"));
     let artifact = proto::get_str(proto::get(&done, "result").unwrap(), "artifact")
         .unwrap()
         .to_string();
 
     let start = std::time::Instant::now();
-    let job = c
-        .submit_with(
-            orap_bench::json_object! { kind: "attack", target: artifact, attack: "sat" },
-            None,
-            Some(Duration::from_millis(200)),
-        )
-        .unwrap();
+    let timeout = Some(Duration::from_millis(200));
+    let job = c.submit_with(job(&bench, artifact), None, timeout).unwrap();
     let st = c.wait_result(job).unwrap();
     let elapsed = start.elapsed();
     assert_eq!(proto::get_str(&st, "state"), Some("timed_out"));
@@ -147,6 +139,36 @@ fn timeout_interrupts_sat_attack_mid_solve() {
         "mid-solve timeout took {elapsed:?}"
     );
     handle.stop();
+}
+
+/// A short per-job timeout fires *mid-solve* on a SAT attack whose first
+/// miter solve alone far outlasts it: the engine layer hands the job
+/// deadline to the solver's interrupt hook, so the job lands in
+/// `timed_out` promptly instead of grinding through the full attack.
+#[test]
+fn timeout_interrupts_sat_attack_mid_solve() {
+    assert_times_out_mid_solve(|_, artifact| {
+        json_object! { kind: "attack", target: artifact, attack: "sat" }
+    });
+}
+
+/// The same for an exact `verify` of the lock's correct key: proving the
+/// two keyed copies equal is one long miter solve, and the job deadline
+/// reaches it through the same control block an attack uses.
+#[test]
+fn timeout_interrupts_verify_mid_solve() {
+    assert_times_out_mid_solve(|bench, artifact| {
+        // The daemon never returns the correct key, so lock the same
+        // parsed circuit locally to learn it.
+        let circuit = netlist::bench::parse(bench).unwrap();
+        let config = locking::random::RllConfig {
+            key_bits: 32,
+            seed: 11,
+        };
+        let locked = locking::random::lock(&circuit, &config).unwrap();
+        let key = proto::key_to_bits(&locked.correct_key);
+        json_object! { kind: "verify", target: artifact, key: key }
+    });
 }
 
 /// Thundering herd over TCP: 8 connections submit the identical lock job
