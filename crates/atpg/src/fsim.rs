@@ -19,6 +19,8 @@ const TARGET_CHUNKS: usize = 64;
 #[derive(Debug, Clone)]
 struct FaultScratch {
     faulty: Vec<u64>,
+    /// The batch whose good values `faulty` mirrors, in a multi-batch run.
+    mirrors: Option<usize>,
     /// Nets whose faulty value currently diverges from the good value.
     touched: Vec<u32>,
     /// Scheduled flags for the event queue.
@@ -32,10 +34,20 @@ impl FaultScratch {
     fn new(cc: &CompiledCircuit) -> Self {
         FaultScratch {
             faulty: vec![0; cc.num_nets()],
+            mirrors: None,
             touched: Vec::new(),
             scheduled: vec![false; cc.num_nets()],
             queue: LevelQueue::new(cc.depth()),
             events: 0,
+        }
+    }
+
+    /// Makes the faulty mirror equal batch `b`'s good values `good`; a
+    /// no-op when it already mirrors that batch.
+    fn mirror(&mut self, b: usize, good: &[u64]) {
+        if self.mirrors != Some(b) {
+            self.faulty.copy_from_slice(good);
+            self.mirrors = Some(b);
         }
     }
 
@@ -245,91 +257,127 @@ impl FaultSim {
         detected
     }
 
-    /// Like [`detect_batch`](FaultSim::detect_batch) but distributes the
-    /// fault list across `pool` in coarse work-weighted chunks with
-    /// work-stealing.
+    /// Simulates several 64-pattern batches (`batches[b]` holds one word per
+    /// combinational input) and returns the ascending indices (into
+    /// `faults`) of the faults some batch detects, distributing the fault
+    /// list across `pool` in coarse work-weighted chunks with work-stealing.
     ///
-    /// The good-circuit simulation runs once. The fault list is cut by
-    /// [`cone_mass`](CompiledCircuit::cone_mass) into at most ~64 chunks of
-    /// roughly equal estimated propagation work; each *worker* (not each
-    /// chunk) owns one `FaultScratch` — faulty mirror, undo list, level
-    /// queue — initialized once and reused for every chunk it steals, so
-    /// the per-dispatch cost is a few atomic operations rather than an
-    /// O(nets) allocation and copy. Chunk boundaries depend only on the
-    /// fault list and the circuit, and every fault's effect is independent
-    /// of chunk placement (the faulty mirror is restored after each fault),
-    /// so the detected set is bit-identical to the sequential
-    /// [`detect_batch`](FaultSim::detect_batch) for any thread count; steal
-    /// order affects scheduling telemetry only.
+    /// The result equals a word-by-word loop over
+    /// [`detect_batch`](FaultSim::detect_batch) that drops each detected
+    /// fault before the next batch, but all batches share one dispatch. The
+    /// good-circuit values of every batch are computed once, up front. The
+    /// fault list is cut by [`cone_mass`](CompiledCircuit::cone_mass) into
+    /// at most ~64 chunks of roughly equal estimated propagation work; each
+    /// chunk runs the batches in order and drops a fault at its first
+    /// detecting batch. Each *worker* (not each chunk) owns one
+    /// `FaultScratch` — faulty mirror, undo list, level queue — allocated
+    /// once and reused for every chunk it steals. Chunk boundaries depend
+    /// only on the fault list and the circuit, and every fault's effect is
+    /// independent of chunk placement (the faulty mirror is restored after
+    /// each fault), so the detected set is bit-identical for any thread
+    /// count; steal order affects scheduling telemetry only.
     ///
     /// # Panics
     ///
-    /// Panics if `input_words.len()` differs from the combinational input
+    /// Panics if a batch's length differs from the combinational input
     /// count.
     pub fn detect_batch_par(
         &self,
         pool: &exec::Pool,
-        input_words: &[u64],
+        batches: &[Vec<u64>],
         faults: &[Fault],
     ) -> Vec<usize> {
-        self.detect_batch_par_counted(pool, input_words, faults).0
+        self.detect_batch_par_counted(pool, batches, faults).0
     }
 
     /// [`detect_batch_par`](FaultSim::detect_batch_par) plus the engine
-    /// work counters of the run (one full sweep; one incremental
-    /// propagation per fault; events summed over all chunks).
+    /// work counters of the run: one full sweep per batch, one incremental
+    /// propagation per fault evaluation actually run (a dropped fault is
+    /// not simulated on later batches), and events summed over all chunks.
     ///
     /// # Panics
     ///
-    /// Panics if `input_words.len()` differs from the combinational input
+    /// Panics if a batch's length differs from the combinational input
     /// count.
     pub fn detect_batch_par_counted(
         &self,
         pool: &exec::Pool,
-        input_words: &[u64],
+        batches: &[Vec<u64>],
         faults: &[Fault],
     ) -> (Vec<usize>, EngineCounters) {
-        let mut good = Vec::new();
-        self.cc.eval_full_into(input_words, &mut good);
+        self.detect_batches_until(pool, batches, faults, &|| false)
+            .expect("a stop check that never fires cannot stop the run")
+    }
+
+    /// [`detect_batch_par_counted`](FaultSim::detect_batch_par_counted)
+    /// that consults `stop` before every batch inside every chunk, and
+    /// returns `None` if it fired.
+    pub(crate) fn detect_batches_until(
+        &self,
+        pool: &exec::Pool,
+        batches: &[Vec<u64>],
+        faults: &[Fault],
+        stop: &(dyn Fn() -> bool + Sync),
+    ) -> Option<(Vec<usize>, EngineCounters)> {
+        let goods: Vec<Vec<u64>> = batches
+            .iter()
+            .map(|words| {
+                let mut good = Vec::new();
+                self.cc.eval_full_into(words, &mut good);
+                good
+            })
+            .collect();
         let ends = chunk_plan(&self.cc, faults);
         let cc = &self.cc;
-        let good = &good;
+        let goods = &goods;
         let sabotage = self.drop_chunk_boundary;
         let per_chunk = pool.par_chunks_stealing(
             "fsim_fault_chunks",
             faults,
             &ends,
-            || {
-                let mut s = FaultScratch::new(cc);
-                s.faulty.copy_from_slice(good);
-                s
-            },
+            || FaultScratch::new(cc),
             |k, slice, scratch| {
                 let base = if k == 0 { 0 } else { ends[k - 1] };
                 let before = scratch.events;
+                // Chunk positions of the faults no batch has detected yet.
+                let mut alive: Vec<usize> = (0..slice.len())
+                    .filter(|&j| !(sabotage && k > 0 && j == 0))
+                    .collect();
                 let mut detected = Vec::new();
-                for (j, f) in slice.iter().enumerate() {
-                    if sabotage && k > 0 && j == 0 {
-                        continue;
+                let mut evals = 0u64;
+                for (b, good) in goods.iter().enumerate() {
+                    if alive.is_empty() {
+                        break;
                     }
-                    if fault_effect(cc, good, scratch, f) != 0 {
-                        detected.push(base + j);
+                    if stop() {
+                        return None;
                     }
+                    scratch.mirror(b, good);
+                    evals += alive.len() as u64;
+                    alive.retain(|&j| {
+                        let hit = fault_effect(cc, good, scratch, &slice[j]) != 0;
+                        if hit {
+                            detected.push(base + j);
+                        }
+                        !hit
+                    });
                 }
-                (detected, scratch.events - before)
+                detected.sort_unstable();
+                Some((detected, evals, scratch.events - before))
             },
         );
         let mut detected = Vec::new();
         let mut counters = EngineCounters {
-            full_evals: 1,
-            incremental_props: faults.len() as u64,
-            events: 0,
+            full_evals: batches.len() as u64,
+            ..EngineCounters::default()
         };
-        for (d, events) in per_chunk {
+        for chunk in per_chunk {
+            let (d, evals, events) = chunk?;
             detected.extend(d);
+            counters.incremental_props += evals;
             counters.events += events;
         }
-        (detected, counters)
+        Some((detected, counters))
     }
 
     /// Checks whether a single pattern (booleans over the combinational
@@ -522,7 +570,7 @@ mod tests {
             let sequential = sim.detect_batch(&words, &faults);
             for threads in [1, 2, 8] {
                 let pool = exec::Pool::with_threads(threads);
-                let par = sim.detect_batch_par(&pool, &words, &faults);
+                let par = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
                 assert_eq!(par, sequential, "seed {seed}, {threads} threads");
             }
         }
@@ -537,7 +585,8 @@ mod tests {
         let mut seen = Vec::new();
         for threads in [1, 2, 8] {
             let pool = exec::Pool::with_threads(threads);
-            let (_, counters) = sim.detect_batch_par_counted(&pool, &words, &faults);
+            let batch = std::slice::from_ref(&words);
+            let (_, counters) = sim.detect_batch_par_counted(&pool, batch, &faults);
             assert_eq!(counters.full_evals, 1);
             assert_eq!(counters.incremental_props, faults.len() as u64);
             assert!(counters.events > 0);
@@ -594,9 +643,9 @@ mod tests {
         let mut sim = FaultSim::new(&c).unwrap();
         let words = vec![0x5A5A_F00D_1234_8765u64; 10];
         let pool = exec::Pool::with_threads(2);
-        let clean = sim.detect_batch_par(&pool, &words, &faults);
+        let clean = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
         sim.sabotage_drop_chunk_boundary();
-        let broken = sim.detect_batch_par(&pool, &words, &faults);
+        let broken = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
         assert_ne!(clean, broken, "dropped boundary faults must be observable");
     }
 

@@ -33,6 +33,8 @@ pub mod podem;
 pub use fault::{collapse, enumerate_faults, Fault, FaultSite};
 pub use fsim::FaultSim;
 
+use std::sync::Arc;
+
 use netlist::{Circuit, Error};
 
 /// Configuration of the ATPG flow.
@@ -96,100 +98,104 @@ impl AtpgReport {
 pub fn run_atpg(circuit: &Circuit, config: &AtpgConfig) -> Result<AtpgReport, Error> {
     // One compiled artifact shared by the fault simulator and PODEM: the
     // circuit is levelized exactly once for the whole flow.
-    let cc = std::sync::Arc::new(netlist::CompiledCircuit::compile(circuit)?);
-    run_atpg_compiled(circuit, cc, config)
+    let cc = Arc::new(netlist::CompiledCircuit::compile(circuit)?);
+    Ok(run_atpg_compiled(circuit, cc, config, &|| false)
+        .expect("a stop check that never fires cannot stop the flow"))
 }
 
 /// [`run_atpg`] over an already-compiled artifact of `circuit`, for callers
 /// (such as a serving layer with a content-hashed artifact cache) that hold
 /// the shared `Arc<CompiledCircuit>` and must not pay a second compile.
 ///
-/// The artifact must be the compilation of `circuit`.
+/// The artifact must be the compilation of `circuit`. `stop` is consulted
+/// before every fault-simulation batch inside every chunk and before every
+/// PODEM target; once it returns `true` the flow ends and returns `None`,
+/// so a caller's cancel flag or deadline interrupts a long run.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a netlist error if the circuit is cyclic.
+/// Panics if a PODEM test fails to detect its own target fault in the
+/// fault simulator (the two engines disagree).
 pub fn run_atpg_compiled(
     circuit: &Circuit,
-    cc: std::sync::Arc<netlist::CompiledCircuit>,
+    cc: Arc<netlist::CompiledCircuit>,
     config: &AtpgConfig,
-) -> Result<AtpgReport, Error> {
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Option<AtpgReport> {
     let pool = exec::global();
     let faults = collapse(circuit, enumerate_faults(circuit));
     let total = faults.len();
-    let sim = fsim::FaultSim::from_compiled(std::sync::Arc::clone(&cc));
-    let mut alive: Vec<Fault> = faults;
-    let mut tests: Vec<Vec<bool>> = Vec::new();
+    let sim = fsim::FaultSim::from_compiled(Arc::clone(&cc));
 
-    // Phase 1: random patterns (HOPE prefilter), fault-parallel per batch.
+    // Phase 1: random patterns (HOPE prefilter), all batches in one
+    // fault-parallel dispatch that drops each fault at its first detection.
     let mut rng = netlist::rng::SplitMix64::new(config.seed);
     let n_in = circuit.comb_inputs().len();
-    let words = config.random_patterns.div_ceil(64);
-    for _ in 0..words {
-        let input: Vec<u64> = (0..n_in).map(|_| rng.next_u64()).collect();
-        let detected = sim.detect_batch_par(pool, &input, &alive);
-        let det_set: std::collections::HashSet<usize> = detected.into_iter().collect();
-        if !det_set.is_empty() {
-            let mut next = Vec::with_capacity(alive.len());
-            for (i, f) in alive.drain(..).enumerate() {
-                if !det_set.contains(&i) {
-                    next.push(f);
-                }
-            }
-            alive = next;
-        }
-        if alive.is_empty() {
-            break;
-        }
-    }
+    let batches: Vec<Vec<u64>> = (0..config.random_patterns.div_ceil(64))
+        .map(|_| (0..n_in).map(|_| rng.next_u64()).collect())
+        .collect();
+    let (detected, _) = sim.detect_batches_until(pool, &batches, &faults, stop)?;
+    let mut alive = undetected(&faults, &detected);
     let detected_random = total - alive.len();
 
-    // Phase 2: PODEM on the survivors, dropping further faults with each
-    // successful test.
+    // Phase 2: PODEM on the survivors in order, dropping further faults
+    // with each successful test. `alive[head..]` are still to be targeted.
     let mut podem_gen = podem::Podem::from_compiled(cc, config.backtrack_limit);
+    let mut tests: Vec<Vec<bool>> = Vec::new();
     let mut detected_det = 0usize;
     let mut redundant = 0usize;
     let mut aborted = 0usize;
-    while !alive.is_empty() {
-        let fault = alive[0].clone();
-        match podem_gen.generate(&fault) {
+    let mut head = 0usize;
+    while head < alive.len() {
+        if stop() {
+            return None;
+        }
+        match podem_gen.generate(&alive[head]) {
             podem::Outcome::Test(pattern) => {
-                // Fault-simulate the new pattern to drop other faults too.
-                let words: Vec<u64> = pattern.iter().map(|&b| if b { !0 } else { 0 }).collect();
-                let detected = sim.detect_batch_par(pool, &words, &alive);
-                let det_set: std::collections::HashSet<usize> = detected.into_iter().collect();
-                debug_assert!(
-                    det_set.contains(&0),
+                // Fault-simulate the new pattern to drop other faults too;
+                // only what the simulator confirms counts as detected.
+                let words = [pattern.iter().map(|&b| if b { !0 } else { 0 }).collect()];
+                let (detected, _) = sim.detect_batches_until(pool, &words, &alive[head..], stop)?;
+                assert_eq!(
+                    detected.first(),
+                    Some(&0),
                     "PODEM test must detect its target fault"
                 );
-                detected_det += det_set.len().max(1);
+                detected_det += detected.len();
                 tests.push(pattern);
-                let mut next = Vec::with_capacity(alive.len());
-                for (j, f) in alive.drain(..).enumerate() {
-                    if !det_set.contains(&j) && j != 0 {
-                        next.push(f);
-                    }
-                }
-                alive = next;
+                alive = undetected(&alive[head..], &detected);
+                head = 0;
             }
             podem::Outcome::Redundant => {
                 redundant += 1;
-                alive.remove(0);
+                head += 1;
             }
             podem::Outcome::Aborted => {
                 aborted += 1;
-                alive.remove(0);
+                head += 1;
             }
         }
     }
 
-    Ok(AtpgReport {
+    Some(AtpgReport {
         total_faults: total,
         detected: detected_random + detected_det,
         redundant,
         aborted,
         tests,
     })
+}
+
+/// `faults` without the entries at the ascending positions `detected`, in
+/// their original order.
+fn undetected(faults: &[Fault], detected: &[usize]) -> Vec<Fault> {
+    let mut next = detected.iter().copied().peekable();
+    faults
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| next.next_if_eq(&i).is_none())
+        .map(|(_, f)| f.clone())
+        .collect()
 }
 
 #[cfg(test)]

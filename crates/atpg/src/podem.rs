@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use netlist::{Circuit, CompiledCircuit, Error, GateKind, NetId};
+use netlist::{Circuit, CompiledCircuit, Error, GateKind, LevelQueue, NetId};
 
 use crate::fault::{Fault, FaultSite};
 
@@ -32,6 +32,13 @@ pub struct Podem {
     cc: Arc<CompiledCircuit>,
     input_pos: Vec<Option<u32>>, // net index -> comb input position
     backtrack_limit: usize,
+    state: Implication,
+}
+
+/// The dual (good/faulty) three-valued implication state and its reusable
+/// event queue: implying a decision allocates nothing.
+#[derive(Debug)]
+struct Implication {
     good: Vec<Option<bool>>,
     faulty: Vec<Option<bool>>,
     /// Nets with a known fault effect (good != faulty, both assigned).
@@ -40,42 +47,179 @@ pub struct Podem {
     effect_at_outputs: usize,
     /// Event-queue scratch.
     scheduled: Vec<bool>,
+    queue: LevelQueue,
 }
 
-fn eval3(kind: GateKind, vals: &[Option<bool>]) -> Option<bool> {
+/// AND-type three-valued evaluation: `Some(ctrl)` if some input carries
+/// the controlling value `ctrl`, otherwise X if some input is X, otherwise
+/// `Some(!ctrl)`.
+fn controlled(vals: impl Iterator<Item = Option<bool>>, ctrl: bool) -> Option<bool> {
+    let mut unknown = false;
+    for v in vals {
+        match v {
+            Some(b) if b == ctrl => return Some(ctrl),
+            None => unknown = true,
+            Some(_) => {}
+        }
+    }
+    if unknown {
+        None
+    } else {
+        Some(!ctrl)
+    }
+}
+
+/// Three-valued evaluation of one gate over its fanin values.
+fn eval3(kind: GateKind, mut vals: impl Iterator<Item = Option<bool>>) -> Option<bool> {
     match kind {
-        GateKind::And | GateKind::Nand => {
-            let invert = kind == GateKind::Nand;
-            if vals.contains(&Some(false)) {
-                Some(invert)
-            } else if vals.iter().all(|v| *v == Some(true)) {
-                Some(!invert)
-            } else {
-                None
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let invert = kind == GateKind::Nor;
-            if vals.contains(&Some(true)) {
-                Some(!invert)
-            } else if vals.iter().all(|v| *v == Some(false)) {
-                Some(invert)
-            } else {
-                None
-            }
-        }
+        GateKind::And => controlled(vals, false),
+        GateKind::Nand => controlled(vals, false).map(|b| !b),
+        GateKind::Or => controlled(vals, true),
+        GateKind::Nor => controlled(vals, true).map(|b| !b),
         GateKind::Xor | GateKind::Xnor => {
-            if vals.iter().all(Option::is_some) {
-                let p = vals.iter().fold(false, |acc, v| acc ^ v.expect("checked"));
-                Some(if kind == GateKind::Xor { p } else { !p })
-            } else {
-                None
-            }
+            let p = vals.try_fold(false, |acc, v| v.map(|b| acc ^ b))?;
+            Some(if kind == GateKind::Xor { p } else { !p })
         }
-        GateKind::Not => vals[0].map(|b| !b),
-        GateKind::Buf => vals[0],
+        GateKind::Not => vals.next().expect("NOT takes one fanin").map(|b| !b),
+        GateKind::Buf => vals.next().expect("BUFF takes one fanin"),
         GateKind::Const0 => Some(false),
         GateKind::Const1 => Some(true),
+    }
+}
+
+impl Implication {
+    fn new(cc: &CompiledCircuit) -> Self {
+        let n = cc.num_nets();
+        Implication {
+            good: vec![None; n],
+            faulty: vec![None; n],
+            effected: vec![false; n],
+            effect_at_outputs: 0,
+            scheduled: vec![false; n],
+            queue: LevelQueue::new(cc.depth()),
+        }
+    }
+
+    /// Refreshes the effect bookkeeping for one net after its values change.
+    fn refresh_effect(&mut self, cc: &CompiledCircuit, net: usize) {
+        let now = matches!(
+            (self.good[net], self.faulty[net]),
+            (Some(a), Some(b)) if a != b
+        );
+        if now != self.effected[net] {
+            self.effected[net] = now;
+            if cc.is_output(net as u32) {
+                if now {
+                    self.effect_at_outputs += 1;
+                } else {
+                    self.effect_at_outputs -= 1;
+                }
+            }
+        }
+    }
+
+    /// The good and faulty values of gate `net` (of kind `kind`) under
+    /// `fault`, evaluated straight from the fanin slice.
+    fn eval_net(
+        &self,
+        cc: &CompiledCircuit,
+        kind: GateKind,
+        net: usize,
+        fault: &Fault,
+    ) -> (Option<bool>, Option<bool>) {
+        let fanin = cc.fanin(net as u32);
+        let good = eval3(kind, fanin.iter().map(|&f| self.good[f as usize]));
+        let faulty = match fault.site {
+            FaultSite::Stem(n) if n.index() == net => Some(fault.stuck_at),
+            FaultSite::Pin { gate_out, pin } if gate_out.index() == net => eval3(
+                kind,
+                fanin.iter().enumerate().map(|(k, &f)| {
+                    if k == pin {
+                        Some(fault.stuck_at)
+                    } else {
+                        self.faulty[f as usize]
+                    }
+                }),
+            ),
+            _ => eval3(kind, fanin.iter().map(|&f| self.faulty[f as usize])),
+        };
+        (good, faulty)
+    }
+
+    /// Recomputes one gate's good/faulty values under `fault`. Returns true
+    /// when either value changed.
+    fn recompute(&mut self, cc: &CompiledCircuit, net: usize, fault: &Fault) -> bool {
+        let Some(kind) = cc.kind_of(net as u32) else {
+            return false;
+        };
+        let (new_good, new_faulty) = self.eval_net(cc, kind, net, fault);
+        let changed = new_good != self.good[net] || new_faulty != self.faulty[net];
+        self.good[net] = new_good;
+        self.faulty[net] = new_faulty;
+        if changed {
+            self.refresh_effect(cc, net);
+        }
+        changed
+    }
+
+    fn schedule_fanout(&mut self, cc: &CompiledCircuit, net: u32) {
+        for &f in cc.fanout(net) {
+            if !self.scheduled[f as usize] {
+                self.scheduled[f as usize] = true;
+                self.queue.push(cc.level_of(f), f);
+            }
+        }
+    }
+
+    /// Event-driven re-implication after one primary input changed. Events
+    /// run in level order; any topological order reaches the same fixpoint.
+    fn propagate_from(&mut self, cc: &CompiledCircuit, start_net: usize, fault: &Fault) {
+        self.schedule_fanout(cc, start_net as u32);
+        while let Some(n) = self.queue.pop() {
+            self.scheduled[n as usize] = false;
+            if self.recompute(cc, n as usize, fault) {
+                self.schedule_fanout(cc, n);
+            }
+        }
+    }
+
+    /// Applies one primary-input change (assignment, flip or retraction)
+    /// and re-implies incrementally.
+    fn update_pi(&mut self, cc: &CompiledCircuit, idx: usize, value: Option<bool>, fault: &Fault) {
+        let net = cc.inputs()[idx].index();
+        self.good[net] = value;
+        self.faulty[net] = value;
+        if let FaultSite::Stem(n) = fault.site {
+            if n.index() == net {
+                self.faulty[net] = Some(fault.stuck_at);
+            }
+        }
+        self.refresh_effect(cc, net);
+        self.propagate_from(cc, net, fault);
+    }
+
+    /// Three-valued dual (good/faulty) implication from scratch with every
+    /// input unassigned (used once per fault; decisions and backtracks then
+    /// use [`Self::update_pi`]).
+    fn imply(&mut self, cc: &CompiledCircuit, fault: &Fault) {
+        self.effected.iter_mut().for_each(|b| *b = false);
+        self.effect_at_outputs = 0;
+        self.good.iter_mut().for_each(|v| *v = None);
+        self.faulty.iter_mut().for_each(|v| *v = None);
+        // A stem fault on an input stays forced: only gates are evaluated.
+        if let FaultSite::Stem(n) = fault.site {
+            self.faulty[n.index()] = Some(fault.stuck_at);
+        }
+        for &id in cc.order() {
+            let i = id.index();
+            let Some(kind) = cc.kind_of(i as u32) else {
+                continue;
+            };
+            (self.good[i], self.faulty[i]) = self.eval_net(cc, kind, i, fault);
+        }
+        for i in 0..self.good.len() {
+            self.refresh_effect(cc, i);
+        }
     }
 }
 
@@ -94,179 +238,37 @@ impl Podem {
 
     /// Wraps an already-compiled artifact (shares it, no recompilation).
     pub fn from_compiled(cc: Arc<CompiledCircuit>, backtrack_limit: usize) -> Self {
-        let n = cc.num_nets();
-        let mut input_pos = vec![None; n];
+        let mut input_pos = vec![None; cc.num_nets()];
         for (i, id) in cc.inputs().iter().enumerate() {
             input_pos[id.index()] = Some(i as u32);
         }
+        let state = Implication::new(&cc);
         Podem {
             cc,
             input_pos,
             backtrack_limit,
-            good: vec![None; n],
-            faulty: vec![None; n],
-            effected: vec![false; n],
-            effect_at_outputs: 0,
-            scheduled: vec![false; n],
-        }
-    }
-
-    /// Refreshes the effect bookkeeping for one net after its values change.
-    fn refresh_effect(&mut self, net: usize) {
-        let now = matches!(
-            (self.good[net], self.faulty[net]),
-            (Some(a), Some(b)) if a != b
-        );
-        if now != self.effected[net] {
-            self.effected[net] = now;
-            if self.cc.is_output(net as u32) {
-                if now {
-                    self.effect_at_outputs += 1;
-                } else {
-                    self.effect_at_outputs -= 1;
-                }
-            }
-        }
-    }
-
-    /// Recomputes one gate's good/faulty values under `fault`. Returns true
-    /// when either value changed.
-    fn recompute(&mut self, net: usize, fault: &Fault) -> bool {
-        let cc = Arc::clone(&self.cc);
-        let Some(kind) = cc.kind_of(net as u32) else {
-            return false;
-        };
-        let fanin = cc.fanin(net as u32);
-        let gvals: Vec<Option<bool>> = fanin.iter().map(|&f| self.good[f as usize]).collect();
-        let new_good = eval3(kind, &gvals);
-        let mut fvals: Vec<Option<bool>> =
-            fanin.iter().map(|&f| self.faulty[f as usize]).collect();
-        if let FaultSite::Pin { gate_out, pin } = fault.site {
-            if gate_out.index() == net {
-                fvals[pin] = Some(fault.stuck_at);
-            }
-        }
-        let mut new_faulty = eval3(kind, &fvals);
-        if let FaultSite::Stem(n) = fault.site {
-            if n.index() == net {
-                new_faulty = Some(fault.stuck_at);
-            }
-        }
-        let changed = new_good != self.good[net] || new_faulty != self.faulty[net];
-        self.good[net] = new_good;
-        self.faulty[net] = new_faulty;
-        if changed {
-            self.refresh_effect(net);
-        }
-        changed
-    }
-
-    /// Event-driven re-implication after one primary input changed.
-    fn propagate_from(&mut self, start_net: usize, fault: &Fault) {
-        let cc = Arc::clone(&self.cc);
-        let mut queue: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>> =
-            std::collections::BinaryHeap::new();
-        for &f in cc.fanout(start_net as u32) {
-            if !self.scheduled[f as usize] {
-                self.scheduled[f as usize] = true;
-                queue.push(std::cmp::Reverse((cc.rank(f), f)));
-            }
-        }
-        while let Some(std::cmp::Reverse((_, n))) = queue.pop() {
-            self.scheduled[n as usize] = false;
-            if self.recompute(n as usize, fault) {
-                for &f in cc.fanout(n) {
-                    if !self.scheduled[f as usize] {
-                        self.scheduled[f as usize] = true;
-                        queue.push(std::cmp::Reverse((cc.rank(f), f)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Applies one primary-input change (assignment or retraction) and
-    /// re-implies incrementally.
-    fn update_pi(&mut self, idx: usize, value: Option<bool>, fault: &Fault) {
-        let net = self.cc.inputs()[idx].index();
-        self.good[net] = value;
-        self.faulty[net] = value;
-        if let FaultSite::Stem(n) = fault.site {
-            if n.index() == net {
-                self.faulty[net] = Some(fault.stuck_at);
-            }
-        }
-        self.refresh_effect(net);
-        self.propagate_from(net, fault);
-    }
-
-    /// Three-valued dual (good/faulty) implication from scratch (used once
-    /// per fault; decisions and backtracks then use [`Self::update_pi`]).
-    fn imply(&mut self, pi: &[Option<bool>], fault: &Fault) {
-        let cc = Arc::clone(&self.cc);
-        self.effected.iter_mut().for_each(|b| *b = false);
-        self.effect_at_outputs = 0;
-        for v in self.good.iter_mut() {
-            *v = None;
-        }
-        for v in self.faulty.iter_mut() {
-            *v = None;
-        }
-        for (i, n) in cc.inputs().iter().enumerate() {
-            self.good[n.index()] = pi[i];
-            self.faulty[n.index()] = pi[i];
-        }
-        let stuck = Some(fault.stuck_at);
-        if let FaultSite::Stem(n) = fault.site {
-            self.faulty[n.index()] = stuck;
-        }
-        for &id in cc.order() {
-            let Some(kind) = cc.kind_of(id.index() as u32) else {
-                continue;
-            };
-            let fanin = cc.fanin(id.index() as u32);
-            let gvals: Vec<Option<bool>> =
-                fanin.iter().map(|&f| self.good[f as usize]).collect();
-            self.good[id.index()] = eval3(kind, &gvals);
-            let mut fvals: Vec<Option<bool>> =
-                fanin.iter().map(|&f| self.faulty[f as usize]).collect();
-            if let FaultSite::Pin { gate_out, pin } = fault.site {
-                if gate_out == id {
-                    fvals[pin] = stuck;
-                }
-            }
-            let fv = eval3(kind, &fvals);
-            self.faulty[id.index()] = fv;
-            if let FaultSite::Stem(n) = fault.site {
-                if n == id {
-                    self.faulty[id.index()] = stuck;
-                }
-            }
-        }
-        // Stem faults on inputs stay forced (set above, nothing overwrites).
-        for i in 0..self.good.len() {
-            self.refresh_effect(i);
+            state,
         }
     }
 
     fn effect_at_output(&self) -> bool {
         debug_assert_eq!(
-            self.effect_at_outputs,
+            self.state.effect_at_outputs,
             self.cc
                 .outputs()
                 .iter()
                 .filter(|o| matches!(
-                    (self.good[o.index()], self.faulty[o.index()]),
+                    (self.state.good[o.index()], self.state.faulty[o.index()]),
                     (Some(a), Some(b)) if a != b
                 ))
                 .count()
         );
-        self.effect_at_outputs > 0
+        self.state.effect_at_outputs > 0
     }
 
     fn has_effect(&self, net: usize) -> bool {
         matches!(
-            (self.good[net], self.faulty[net]),
+            (self.state.good[net], self.state.faulty[net]),
             (Some(a), Some(b)) if a != b
         )
     }
@@ -277,12 +279,12 @@ impl Podem {
         // 1. Excitation: the good value at the fault site must become the
         //    complement of the stuck value.
         let (site_net, site_good) = match fault.site {
-            FaultSite::Stem(n) => (n, self.good[n.index()]),
+            FaultSite::Stem(n) => (n, self.state.good[n.index()]),
             FaultSite::Pin { gate_out, pin } => {
                 let fanin = self.cc.fanin(gate_out.index() as u32);
                 debug_assert!(!fanin.is_empty(), "pin fault implies gate");
                 let n = NetId::from_index(fanin[pin] as usize);
-                (n, self.good[n.index()])
+                (n, self.state.good[n.index()])
             }
         };
         match site_good {
@@ -296,7 +298,7 @@ impl Podem {
         //    of effected nets (plus the faulted gate for pin faults), sorted
         //    by rank for determinism.
         let mut candidates: Vec<NetId> = Vec::new();
-        for (n, &eff) in self.effected.iter().enumerate() {
+        for (n, &eff) in self.state.effected.iter().enumerate() {
             if eff {
                 candidates.extend(
                     self.cc
@@ -319,11 +321,11 @@ impl Podem {
             if self.has_effect(id.index()) {
                 continue;
             }
-            if self.good[id.index()].is_some() && self.faulty[id.index()].is_some() {
+            if self.state.good[id.index()].is_some() && self.state.faulty[id.index()].is_some() {
                 continue; // both known & equal: effect blocked through here
             }
             let any_effected_input = fanin.iter().enumerate().any(|(k, &f)| {
-                if self.effected[f as usize] {
+                if self.state.effected[f as usize] {
                     return true;
                 }
                 // A pin fault's effect originates at the pin itself: the
@@ -332,7 +334,7 @@ impl Podem {
                 if let FaultSite::Pin { gate_out, pin } = fault.site {
                     gate_out == id
                         && pin == k
-                        && self.good[f as usize] == Some(!fault.stuck_at)
+                        && self.state.good[f as usize] == Some(!fault.stuck_at)
                 } else {
                     false
                 }
@@ -342,7 +344,7 @@ impl Podem {
             }
             let x_input = fanin
                 .iter()
-                .find(|&&f| self.good[f as usize].is_none())
+                .find(|&&f| self.state.good[f as usize].is_none())
                 .copied();
             if let Some(f) = x_input {
                 let value = match kind {
@@ -361,14 +363,14 @@ impl Podem {
     fn backtrace(&self, mut net: NetId, mut value: bool) -> Option<(usize, bool)> {
         loop {
             if let Some(pos) = self.input_pos[net.index()] {
-                debug_assert!(self.good[net.index()].is_none());
+                debug_assert!(self.state.good[net.index()].is_none());
                 return Some((pos as usize, value));
             }
             let kind = self.cc.kind_of(net.index() as u32)?;
             let fanin = self.cc.fanin(net.index() as u32);
             let x_input = fanin
                 .iter()
-                .find(|&&f| self.good[f as usize].is_none())
+                .find(|&&f| self.state.good[f as usize].is_none())
                 .copied()?;
             value = match kind {
                 GateKind::And | GateKind::Buf => value,
@@ -386,12 +388,12 @@ impl Podem {
 
     /// Attempts to generate a test for `fault`.
     pub fn generate(&mut self, fault: &Fault) -> Outcome {
-        let n_pi = self.cc.inputs().len();
-        let mut pi: Vec<Option<bool>> = vec![None; n_pi];
+        let cc = &*self.cc;
+        let mut pi: Vec<Option<bool>> = vec![None; cc.inputs().len()];
         // Decision stack: (pi index, current value, other value tried?).
         let mut decisions: Vec<(usize, bool, bool)> = Vec::new();
         let mut backtracks = 0usize;
-        self.imply(&pi, fault);
+        self.state.imply(cc, fault);
         loop {
             if self.effect_at_output() {
                 return Outcome::Test(pi.iter().map(|v| v.unwrap_or(false)).collect());
@@ -404,26 +406,27 @@ impl Podem {
                     debug_assert!(pi[idx].is_none());
                     pi[idx] = Some(val);
                     decisions.push((idx, val, false));
-                    self.update_pi(idx, Some(val), fault);
+                    self.state.update_pi(cc, idx, Some(val), fault);
                 }
                 None => {
-                    // Backtrack.
+                    // Backtrack: retract exhausted decisions, then flip the
+                    // most recent untried one in a single update.
                     loop {
                         match decisions.pop() {
                             None => return Outcome::Redundant,
-                            Some((idx, val, tried_other)) => {
+                            Some((idx, _, true)) => {
                                 pi[idx] = None;
-                                self.update_pi(idx, None, fault);
-                                if !tried_other {
-                                    backtracks += 1;
-                                    if backtracks > self.backtrack_limit {
-                                        return Outcome::Aborted;
-                                    }
-                                    pi[idx] = Some(!val);
-                                    decisions.push((idx, !val, true));
-                                    self.update_pi(idx, Some(!val), fault);
-                                    break;
+                                self.state.update_pi(cc, idx, None, fault);
+                            }
+                            Some((idx, val, false)) => {
+                                backtracks += 1;
+                                if backtracks > self.backtrack_limit {
+                                    return Outcome::Aborted;
                                 }
+                                pi[idx] = Some(!val);
+                                decisions.push((idx, !val, true));
+                                self.state.update_pi(cc, idx, Some(!val), fault);
+                                break;
                             }
                         }
                     }

@@ -142,13 +142,14 @@ fn main() {
         let mut detected_ref: Option<Vec<usize>> = None;
         let mut counters = netlist::EngineCounters::default();
         let mut t8_pool_stats = None;
+        let batch = std::slice::from_ref(&words);
         for (ti, threads) in [1usize, 2, 8].into_iter().enumerate() {
             let pool = Pool::with_threads(threads);
             let mut walls = Vec::with_capacity(samples);
             let mut detected = Vec::new();
             for _ in 0..samples {
                 let t = Instant::now();
-                let (d, c) = fsim.detect_batch_par_counted(&pool, &words, &faults);
+                let (d, c) = fsim.detect_batch_par_counted(&pool, batch, &faults);
                 walls.push(t.elapsed().as_nanos());
                 detected = d;
                 counters = c;

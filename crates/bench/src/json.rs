@@ -298,6 +298,7 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses a JSON document nested at most [`MAX_DEPTH`] levels deep.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -312,6 +313,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -500,16 +502,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte in one step. Those are ASCII
+                    // bytes, which never occur inside a multi-byte UTF-8
+                    // character, so the run is whole characters of `text`.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    if run == 0 {
                         return Err(self.err("unescaped control character"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -720,6 +725,7 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(parse("\"raw control \u{01} character\"").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("truthy").is_err());
     }

@@ -1,4 +1,4 @@
-//! The 3-way differential battery over the simulation engines.
+//! The differential battery over the simulation engines.
 //!
 //! One run cross-checks, on a single circuit:
 //!
@@ -9,7 +9,10 @@
 //!    net *and* the returned `out_diff` mask against the naive recomputation
 //!    of the proposed state;
 //! 3. **revert snapshots** — every other step is reverted, and the scratch
-//!    must restore the committed state bit-exactly.
+//!    must restore the committed state bit-exactly;
+//! 4. **four-lane sweep vs naive** — the full sweep over `[u64; 4]` lane
+//!    blocks (the Hamming-distance sweep's width), every net, each lane
+//!    against the naive interpreter on that lane's words.
 //!
 //! The same entry point doubles as the engine-mutant executioner: an
 //! [`EngineFault`] is injected into the compiled artifact (or the scratch's
@@ -238,6 +241,20 @@ pub fn differential_check(
             inwords = proposed;
             cur_naive = naive;
         }
+    }
+
+    // Leg 4: one full sweep over four-word lane blocks, each lane against
+    // the naive interpreter on that lane's words.
+    let blocks: Vec<[u64; 4]> = (0..n_inputs)
+        .map(|_| std::array::from_fn(|_| rng.next_u64()))
+        .collect();
+    let mut wide = Vec::new();
+    cc.eval_full_into(&blocks, &mut wide);
+    for lane in 0..4 {
+        let words: Vec<u64> = blocks.iter().map(|b| b[lane]).collect();
+        let got: Vec<u64> = wide.iter().map(|b| b[lane]).collect();
+        let stage = format!("four-lane sweep lane {lane} vs naive");
+        compare_nets(&stage, 0, &got, &crate::reference::eval_nets(c, &words))?;
     }
     Ok(true)
 }

@@ -10,8 +10,12 @@
 //! fault. This battery enforces that contract across thread counts and
 //! doubles as the executioner for the chunk-boundary mutant
 //! ([`FsimFault::DropChunkBoundary`]).
+//!
+//! The parallel path also takes several batches in one dispatch and drops
+//! each fault at its first detecting batch; its second leg compares that
+//! against the sequential path fed word by word with the same dropping.
 
-use atpg::{collapse, enumerate_faults, FaultSim};
+use atpg::{collapse, enumerate_faults, Fault, FaultSim};
 use exec::Pool;
 use netlist::rng::SplitMix64;
 use netlist::Circuit;
@@ -62,7 +66,8 @@ pub fn fsim_battery(fault: Option<FsimFault>) -> Result<(), String> {
             let seq = sim.detect_batch(&words, &faults);
             for threads in [1usize, 2, 4] {
                 let pool = Pool::with_threads(threads);
-                let (par, counters) = sim.detect_batch_par_counted(&pool, &words, &faults);
+                let one = std::slice::from_ref(&words);
+                let (par, counters) = sim.detect_batch_par_counted(&pool, one, &faults);
                 if par != seq {
                     return Err(format!(
                         "circuit {ci}, batch {batch}, {threads} threads: parallel \
@@ -80,6 +85,75 @@ pub fn fsim_battery(fault: Option<FsimFault>) -> Result<(), String> {
                 }
             }
         }
+        multi_batch_leg(ci, &mut sim, &faults)?;
+    }
+    Ok(())
+}
+
+/// Batches of the multi-batch leg per circuit.
+const MULTI_BATCHES: usize = 6;
+
+/// The sequential reference of a multi-batch run: `detect_batch` fed word
+/// by word, each detected fault dropped before the next batch. Returns the
+/// ascending detected indices and the fault evaluations run.
+fn dropping_reference(
+    sim: &mut FaultSim,
+    batches: &[Vec<u64>],
+    faults: &[Fault],
+) -> (Vec<usize>, u64) {
+    let mut alive: Vec<usize> = (0..faults.len()).collect();
+    let mut detected = Vec::new();
+    let mut evals = 0u64;
+    for words in batches {
+        let subset: Vec<Fault> = alive.iter().map(|&i| faults[i].clone()).collect();
+        evals += subset.len() as u64;
+        let hits = sim.detect_batch(words, &subset);
+        detected.extend(hits.iter().map(|&h| alive[h]));
+        let mut hits = hits.into_iter().peekable();
+        let mut k = 0;
+        alive.retain(|_| {
+            let hit = hits.next_if_eq(&k).is_some();
+            k += 1;
+            !hit
+        });
+    }
+    detected.sort_unstable();
+    (detected, evals)
+}
+
+/// The multi-batch leg: [`MULTI_BATCHES`] sparse batches (each word the AND
+/// of three random words, so detections spread over several batches) in
+/// one `detect_batch_par_counted` call at 1, 2 and 4 threads must detect
+/// exactly what [`dropping_reference`] detects, with one full sweep per
+/// batch and one incremental propagation per fault evaluation run.
+fn multi_batch_leg(ci: usize, sim: &mut FaultSim, faults: &[Fault]) -> Result<(), String> {
+    let n_in = sim.compiled().inputs().len();
+    let mut rng = SplitMix64::new(0xB47C + ci as u64);
+    let batches: Vec<Vec<u64>> = (0..MULTI_BATCHES)
+        .map(|_| {
+            (0..n_in)
+                .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
+                .collect()
+        })
+        .collect();
+    let (seq, evals) = dropping_reference(sim, &batches, faults);
+    for threads in [1usize, 2, 4] {
+        let pool = Pool::with_threads(threads);
+        let (par, counters) = sim.detect_batch_par_counted(&pool, &batches, faults);
+        if par != seq {
+            return Err(format!(
+                "circuit {ci}, {MULTI_BATCHES} batches, {threads} threads: parallel \
+                 detected {} faults, word-by-word dropping detected {}",
+                par.len(),
+                seq.len()
+            ));
+        }
+        if counters.full_evals != MULTI_BATCHES as u64 || counters.incremental_props != evals {
+            return Err(format!(
+                "circuit {ci}, {MULTI_BATCHES} batches, {threads} threads: untruthful \
+                 counters {counters:?} for {evals} fault evaluations"
+            ));
+        }
     }
     Ok(())
 }
@@ -96,6 +170,28 @@ mod tests {
     #[test]
     fn chunk_boundary_mutant_is_detected() {
         let r = fsim_battery(Some(FsimFault::DropChunkBoundary));
+        assert!(r.is_err(), "chunk-boundary mutant survived: {r:?}");
+    }
+
+    #[test]
+    fn chunk_boundary_mutant_dies_in_the_multi_batch_leg_too() {
+        let c = &battery_circuits()[1];
+        let faults = collapse(c, enumerate_faults(c));
+        let mut sim = FaultSim::new(c).unwrap();
+        assert_eq!(multi_batch_leg(1, &mut sim, &faults), Ok(()));
+        // Sparse batches leave faults for later batches, so dropping
+        // matters: some but not all evaluations are skipped.
+        let batches: Vec<Vec<u64>> = (0..MULTI_BATCHES)
+            .map(|b| vec![0x0101_0101_0101_0101u64 << b; sim.compiled().inputs().len()])
+            .collect();
+        let (_, evals) = dropping_reference(&mut sim, &batches, &faults);
+        let n = faults.len() as u64;
+        assert!(
+            n < evals && evals < n * MULTI_BATCHES as u64,
+            "{evals} of {n}"
+        );
+        sim.sabotage_drop_chunk_boundary();
+        let r = multi_batch_leg(1, &mut sim, &faults);
         assert!(r.is_err(), "chunk-boundary mutant survived: {r:?}");
     }
 }

@@ -16,15 +16,17 @@
 //!
 //! - [`mod@reference`]: the naive interpreter used as the differential
 //!   anchor.
-//! - [`differential`]: the 3-way value-level battery (naive / full sweep /
-//!   incremental, including `out_diff` masks and revert snapshots).
+//! - [`differential`]: the value-level battery (naive / full sweep at one
+//!   and four lanes / incremental, including `out_diff` masks and revert
+//!   snapshots).
 //! - [`satcheck`]: solver battery (brute-force CNF comparison, model
 //!   validation, unit-value truthfulness).
 //! - [`enccheck`]: encoder battery (exhaustive miter ground truth on
 //!   crafted locked circuits, I/O-constraint consistency, counterexample
 //!   genuineness) — the SAT leg of the 4-way check.
 //! - [`fsimcheck`]: fault-simulator battery (sequential vs chunked-parallel
-//!   detection across thread counts, counter truthfulness).
+//!   detection across thread counts, for one batch and for several batches
+//!   with fault dropping, counter truthfulness).
 //! - [`enginecheck`]: attack-engine control-layer battery (interrupt-poll
 //!   honesty, oracle-query ledger/budget truthfulness).
 //! - [`attack_loop`]: full lock → attack → key recovery → exact-miter

@@ -13,9 +13,12 @@
 //! Two evaluation kernels run over the artifact:
 //!
 //! - the **full sweep** ([`CompiledCircuit::eval_full_into`]): the classic
-//!   64-pattern word-parallel pass, driven by a *rank-major* copy of the
-//!   gate kinds and fanin windows (`sweep_*` arrays) so the hot loop reads
-//!   its schedule sequentially instead of chasing the order permutation;
+//!   word-parallel pass, driven by a *rank-major* copy of the gate kinds and
+//!   fanin windows (`sweep_*` arrays) so the hot loop reads its schedule
+//!   sequentially instead of chasing the order permutation. It is generic
+//!   over the [`Lanes`] block a gate visit evaluates: one `u64` (64
+//!   patterns) for most callers, `[u64; N]` where one gate visit should
+//!   serve several words (the Hamming-distance sweep);
 //! - the **incremental kernel** ([`EvalScratch::propagate`]): an
 //!   event-driven update that re-evaluates only the cone disturbed by a
 //!   single net change, using a [`LevelQueue`] (per-level FIFO buckets with
@@ -42,6 +45,70 @@ use crate::{Circuit, Error, GateKind, Levelization, NetId};
 /// exponentially; capping keeps the estimate a useful *relative* work
 /// weight without overflow.
 const CONE_MASS_CAP: u32 = 1 << 20;
+
+/// A block of pattern lanes that one gate visit evaluates: a `u64` word
+/// (64 patterns, one per bit) or `[u64; N]` (64·N patterns).
+///
+/// A full-sweep gate visit costs more in kind dispatch and fanin walking
+/// than in the logic itself, so a wider block amortizes that cost over
+/// several words. The gate functions ([`CompiledCircuit::eval_gate`]) and
+/// the sweep are written once over this trait and shared by every width.
+pub trait Lanes: Copy {
+    /// Every lane 0.
+    const ZERO: Self;
+    /// Every lane 1.
+    const ONES: Self;
+    /// Lane-wise AND.
+    fn and(self, other: Self) -> Self;
+    /// Lane-wise OR.
+    fn or(self, other: Self) -> Self;
+    /// Lane-wise XOR.
+    fn xor(self, other: Self) -> Self;
+    /// Lane-wise complement.
+    fn not(self) -> Self;
+}
+
+impl Lanes for u64 {
+    const ZERO: Self = 0;
+    const ONES: Self = !0;
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+    #[inline]
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+    #[inline]
+    fn xor(self, other: Self) -> Self {
+        self ^ other
+    }
+    #[inline]
+    fn not(self) -> Self {
+        !self
+    }
+}
+
+impl<const N: usize> Lanes for [u64; N] {
+    const ZERO: Self = [0; N];
+    const ONES: Self = [!0; N];
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        std::array::from_fn(|i| self[i] & other[i])
+    }
+    #[inline]
+    fn or(self, other: Self) -> Self {
+        std::array::from_fn(|i| self[i] | other[i])
+    }
+    #[inline]
+    fn xor(self, other: Self) -> Self {
+        std::array::from_fn(|i| self[i] ^ other[i])
+    }
+    #[inline]
+    fn not(self) -> Self {
+        self.map(|w| !w)
+    }
+}
 
 /// Work counters of the two evaluation kernels, exported as benchmark
 /// telemetry.
@@ -451,10 +518,10 @@ impl CompiledCircuit {
         true
     }
 
-    /// Evaluates one gate function over 64-pattern words drawn from
-    /// `values` at the `fanin` indices.
+    /// Evaluates one gate function over lane blocks drawn from `values` at
+    /// the `fanin` indices.
     #[inline]
-    pub fn eval_gate(kind: GateKind, fanin: &[u32], values: &[u64]) -> u64 {
+    pub fn eval_gate<L: Lanes>(kind: GateKind, fanin: &[u32], values: &[L]) -> L {
         Self::fold(kind, fanin.iter().map(|&x| values[x as usize]))
     }
 
@@ -462,13 +529,13 @@ impl CompiledCircuit {
     /// position `pin` forced to `forced` — the gate-input-pin fault case,
     /// evaluated without any temporary allocation.
     #[inline]
-    pub fn eval_gate_with_pin(
+    pub fn eval_gate_with_pin<L: Lanes>(
         kind: GateKind,
         fanin: &[u32],
-        values: &[u64],
+        values: &[L],
         pin: usize,
-        forced: u64,
-    ) -> u64 {
+        forced: L,
+    ) -> L {
         Self::fold(
             kind,
             fanin
@@ -479,32 +546,32 @@ impl CompiledCircuit {
     }
 
     #[inline]
-    fn fold(kind: GateKind, mut vals: impl Iterator<Item = u64>) -> u64 {
+    fn fold<L: Lanes>(kind: GateKind, mut vals: impl Iterator<Item = L>) -> L {
         match kind {
-            GateKind::And => vals.fold(!0u64, |a, x| a & x),
-            GateKind::Nand => !vals.fold(!0u64, |a, x| a & x),
-            GateKind::Or => vals.fold(0u64, |a, x| a | x),
-            GateKind::Nor => !vals.fold(0u64, |a, x| a | x),
-            GateKind::Xor => vals.fold(0u64, |a, x| a ^ x),
-            GateKind::Xnor => !vals.fold(0u64, |a, x| a ^ x),
-            GateKind::Not => !vals.next().expect("NOT takes one fanin"),
+            GateKind::And => vals.fold(L::ONES, L::and),
+            GateKind::Nand => vals.fold(L::ONES, L::and).not(),
+            GateKind::Or => vals.fold(L::ZERO, L::or),
+            GateKind::Nor => vals.fold(L::ZERO, L::or).not(),
+            GateKind::Xor => vals.fold(L::ZERO, L::xor),
+            GateKind::Xnor => vals.fold(L::ZERO, L::xor).not(),
+            GateKind::Not => vals.next().expect("NOT takes one fanin").not(),
             GateKind::Buf => vals.next().expect("BUFF takes one fanin"),
-            GateKind::Const0 => 0,
-            GateKind::Const1 => !0,
+            GateKind::Const0 => L::ZERO,
+            GateKind::Const1 => L::ONES,
         }
     }
 
-    /// The full-sweep kernel: evaluates the whole circuit word-parallel
-    /// (one pattern per bit) into `values`, which is resized to
-    /// [`num_nets`](CompiledCircuit::num_nets). The walk streams the
-    /// rank-major sweep arrays — kinds and fanin windows are read
-    /// sequentially from memory.
+    /// The full-sweep kernel: evaluates the whole circuit lane-parallel
+    /// (one pattern per bit of each [`Lanes`] block) into `values`, which is
+    /// resized to [`num_nets`](CompiledCircuit::num_nets). The walk streams
+    /// the rank-major sweep arrays — kinds and fanin windows are read
+    /// sequentially from memory, once per gate whatever the block width.
     ///
     /// # Panics
     ///
     /// Panics if `input_words.len()` differs from the combinational input
     /// count.
-    pub fn eval_full_into(&self, input_words: &[u64], values: &mut Vec<u64>) {
+    pub fn eval_full_into<L: Lanes>(&self, input_words: &[L], values: &mut Vec<L>) {
         assert_eq!(
             input_words.len(),
             self.inputs.len(),
@@ -512,7 +579,7 @@ impl CompiledCircuit {
             self.inputs.len()
         );
         values.clear();
-        values.resize(self.num_nets, 0);
+        values.resize(self.num_nets, L::ZERO);
         for (net, &w) in self.inputs.iter().zip(input_words) {
             values[net.index()] = w;
         }

@@ -49,7 +49,7 @@ pub mod stream;
 mod topo;
 
 pub use circuit::{Circuit, Dff, Gate, GateKind, Net, NetId};
-pub use compiled::{CompiledCircuit, EngineCounters, EvalScratch, LevelQueue};
+pub use compiled::{CompiledCircuit, EngineCounters, EvalScratch, Lanes, LevelQueue};
 pub use stream::StreamBuilder;
 pub use error::Error;
 pub use stats::CircuitStats;

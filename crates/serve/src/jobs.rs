@@ -7,8 +7,10 @@
 //! stages; `attack` and `verify` jobs go further and hand the [`JobCtx`]'s
 //! cancel flag and deadline to an `AttackCtl`, so cancellation and timeouts
 //! fire per engine step — and, through the solver's interrupt hook, even
-//! mid-solve. Engine progress events are rendered into the job's progress
-//! log for the `subscribe` op.
+//! mid-solve. `atpg` jobs hand the ATPG flow a stop check that polls the
+//! same checkpoint between fault-simulation batches and PODEM targets.
+//! Engine progress events are rendered into the job's progress log for the
+//! `subscribe` op.
 //!
 //! Security model, mirroring the paper: the daemon holds each lock's
 //! correct key server-side and **never returns it**. Clients get the
@@ -716,9 +718,17 @@ pub fn run_job(state: &ServeState, ctx: &JobCtx, spec: &JobSpec) -> Result<Json,
             if *backtrack_limit > 0 {
                 cfg.backtrack_limit = *backtrack_limit;
             }
-            let report = atpg::run_atpg_compiled(&src.circuit, Arc::clone(&src.compiled), &cfg)
-                .map_err(|e| JobError::Failed(format!("atpg failed: {e}")))?;
+            // The flow consults the job's checkpoint between fault-simulation
+            // batches and before every PODEM target, so `cancel` and
+            // `timeout_ms` interrupt it mid-run.
+            let report =
+                atpg::run_atpg_compiled(&src.circuit, Arc::clone(&src.compiled), &cfg, &|| {
+                    ctx.checkpoint().is_err()
+                });
             ctx.checkpoint()?;
+            // A failed checkpoint stays failed, so a stopped flow never
+            // gets past the checkpoint above.
+            let report = report.expect("the ATPG flow stops only when a checkpoint fails");
             Ok(json_object! {
                 total_faults: report.total_faults,
                 detected: report.detected,

@@ -171,6 +171,42 @@ fn timeout_interrupts_verify_mid_solve() {
     });
 }
 
+/// A per-job timeout fires mid-run on an `atpg` job at the default
+/// configuration: its fault simulation and PODEM search on the ~20k-gate
+/// circuit run far past the deadline, and the flow's stop check ends the
+/// job between fault-simulation batches or PODEM targets. The timeout
+/// leaves room for the compile stage, and the job's stage log shows the
+/// deadline fired inside ATPG.
+#[test]
+fn timeout_interrupts_atpg_mid_run() {
+    let (mut handle, addr) = start(1);
+    let mut c = connect(&addr);
+    let comb = netlist::generate::random_comb(7, 48, 24, 20_000).unwrap();
+    let job = json_object! { kind: "atpg", bench: netlist::bench::write(&comb) };
+    let job = c
+        .submit_with(job, None, Some(Duration::from_secs(3)))
+        .unwrap();
+    let start = std::time::Instant::now();
+    let st = c.wait_result(job).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(proto::get_str(&st, "state"), Some("timed_out"));
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "mid-run timeout took {elapsed:?}"
+    );
+    let status = c.status(job).unwrap();
+    let Some(Json::Array(stages)) = proto::get(&status, "stages") else {
+        panic!("status without a stage log: {status:?}");
+    };
+    assert!(
+        stages
+            .iter()
+            .any(|s| proto::get_str(s, "stage") == Some("atpg")),
+        "the deadline fired before ATPG started: {status:?}"
+    );
+    handle.stop();
+}
+
 /// Thundering herd over TCP: 8 connections submit the identical lock job
 /// concurrently; the daemon compiles the circuit once and builds the
 /// locked artifact once — every other request coalesces onto those builds.

@@ -84,8 +84,17 @@ pub fn hamming_between_keys(
     ))
 }
 
+/// Pattern words one HD sweep evaluates per gate visit: a gate visit costs
+/// more in kind dispatch and fanin walking than in its logic, so each visit
+/// serves this many 64-pattern words.
+const LANES: usize = 4;
+
 /// Core HD measurement against a prebuilt simulator (shared by the public
 /// entry points so the parallel key sweep compiles the circuit only once).
+///
+/// The data words are drawn from the PRNG word by word, as a one-word
+/// sweep would draw them; each sweep evaluates [`LANES`] consecutive words
+/// and only the words actually requested are counted.
 fn hamming_on_sim(
     sim: &CombSim,
     data_pos: &[usize],
@@ -97,24 +106,33 @@ fn hamming_on_sim(
 ) -> HdReport {
     assert_eq!(key_a.len(), key_pos.len(), "key_a width mismatch");
     assert_eq!(key_b.len(), key_pos.len(), "key_b width mismatch");
+    let cc = sim.compiled();
     let mut rng = SplitMix64::new(seed);
     let words = patterns.div_ceil(64).max(1);
-    let mut input = vec![0u64; sim.inputs().len()];
+    let mut input_a = vec![[0u64; LANES]; sim.inputs().len()];
+    let mut input_b = input_a.clone();
+    for (k, &pos) in key_pos.iter().enumerate() {
+        input_a[pos] = [broadcast(key_a[k]); LANES];
+        input_b[pos] = [broadcast(key_b[k]); LANES];
+    }
+    let (mut values_a, mut values_b) = (Vec::new(), Vec::new());
     let mut flipped = 0u64;
-    for _ in 0..words {
-        for &d in data_pos {
-            input[d] = rng.next_u64();
+    for first in (0..words).step_by(LANES) {
+        let used = (words - first).min(LANES);
+        for lane in 0..used {
+            for &d in data_pos {
+                let w = rng.next_u64();
+                input_a[d][lane] = w;
+                input_b[d][lane] = w;
+            }
         }
-        for (k, &pos) in key_pos.iter().enumerate() {
-            input[pos] = broadcast(key_a[k]);
-        }
-        let out_a = sim.eval_words(&input);
-        for (k, &pos) in key_pos.iter().enumerate() {
-            input[pos] = broadcast(key_b[k]);
-        }
-        let out_b = sim.eval_words(&input);
-        for (wa, wb) in out_a.iter().zip(&out_b) {
-            flipped += (wa ^ wb).count_ones() as u64;
+        cc.eval_full_into(&input_a, &mut values_a);
+        cc.eval_full_into(&input_b, &mut values_b);
+        for o in sim.outputs() {
+            let (wa, wb) = (&values_a[o.index()], &values_b[o.index()]);
+            for lane in 0..used {
+                flipped += (wa[lane] ^ wb[lane]).count_ones() as u64;
+            }
         }
     }
     HdReport {
@@ -270,6 +288,41 @@ mod tests {
         let avg = average_hd_random_keys(&c, &keys, &correct, 20, 128, 7).unwrap();
         // Random keys flip on average half the bits of an XOR lock.
         assert!((40.0..60.0).contains(&avg), "avg {avg}");
+    }
+
+    /// One word per sweep, drawn in the same order: the reference the
+    /// four-word sweep must reproduce, including a partial last block.
+    #[test]
+    fn four_word_blocks_match_one_word_sweeps() {
+        let c = netlist::generate::random_comb(21, 12, 6, 150).unwrap();
+        let keys: Vec<NetId> = c.comb_inputs()[8..].to_vec();
+        let (key_a, key_b) = ([false, true, true, false], [true, true, false, false]);
+        let sim = CombSim::new(&c).unwrap();
+        let (data_pos, key_pos) = input_roles(&sim, &keys);
+        for words in [1usize, 3, 4, 5, 9] {
+            let mut rng = SplitMix64::new(17);
+            let mut input = vec![0u64; sim.inputs().len()];
+            let mut flipped = 0u64;
+            for _ in 0..words {
+                for &d in &data_pos {
+                    input[d] = rng.next_u64();
+                }
+                let mut out = [Vec::new(), Vec::new()];
+                for (o, key) in out.iter_mut().zip([&key_a, &key_b]) {
+                    for (k, &pos) in key_pos.iter().enumerate() {
+                        input[pos] = broadcast(key[k]);
+                    }
+                    *o = sim.eval_words(&input);
+                }
+                for (wa, wb) in out[0].iter().zip(&out[1]) {
+                    flipped += (wa ^ wb).count_ones() as u64;
+                }
+            }
+            let rep = hamming_between_keys(&c, &keys, &key_a, &key_b, words * 64, 17).unwrap();
+            assert!(flipped > 0, "the two keys must disagree somewhere");
+            assert_eq!(rep.flipped, flipped, "{words} words");
+            assert_eq!(rep.patterns, words * 64);
+        }
     }
 
     #[test]

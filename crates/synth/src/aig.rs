@@ -216,12 +216,8 @@ impl Aig {
 
     /// Depth (maximum AND-chain length from any input to any output).
     pub fn depth(&self) -> usize {
-        let mut level = vec![0usize; self.nodes.len()];
-        for n in 0..self.nodes.len() {
-            if let Node::And(a, b) = self.nodes[n] {
-                level[n] = 1 + level[a.node()].max(level[b.node()]);
-            }
-        }
+        let mut level = Vec::new();
+        self.extend_levels(&mut level);
         self.outputs
             .iter()
             .map(|l| level[l.node()])
@@ -229,15 +225,20 @@ impl Aig {
             .unwrap_or(0)
     }
 
-    /// Per-node levels (0 for inputs/constant).
-    pub fn levels(&self) -> Vec<usize> {
-        let mut level = vec![0usize; self.nodes.len()];
-        for n in 0..self.nodes.len() {
-            if let Node::And(a, b) = self.nodes[n] {
-                level[n] = 1 + level[a.node()].max(level[b.node()]);
-            }
+    /// Extends per-node levels (0 for inputs/constant) to cover every node.
+    ///
+    /// `levels` must hold the levels of a prefix of the node vector, as a
+    /// previous call left it. Nodes are only ever appended and a node's
+    /// level depends on earlier nodes alone, so a pass that builds a graph
+    /// can keep one vector current in O(1) per new node.
+    pub fn extend_levels(&self, levels: &mut Vec<usize>) {
+        for n in levels.len()..self.nodes.len() {
+            let level = match self.nodes[n] {
+                Node::And(a, b) => 1 + levels[a.node()].max(levels[b.node()]),
+                _ => 0,
+            };
+            levels.push(level);
         }
-        level
     }
 
     /// Fanout count per node, counting output references too.

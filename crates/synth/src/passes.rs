@@ -6,8 +6,6 @@
 //! ordered by construction). This keeps every pass safe: the worst a bad
 //! heuristic can do is fail to shrink the graph.
 
-use std::collections::HashMap;
-
 use crate::{Aig, AigLit};
 
 /// Standard cofactor patterns for up to 6 truth-table variables.
@@ -85,6 +83,8 @@ pub fn balance(aig: &Aig) -> Aig {
     for i in 0..aig.num_inputs() {
         map[1 + i] = new.input(i);
     }
+    // Levels of `new`, extended as nodes are appended.
+    let mut levels = Vec::new();
     for n in 0..aig.num_nodes() {
         if !live[n] {
             continue;
@@ -96,7 +96,6 @@ pub fn balance(aig: &Aig) -> Aig {
             let mut stack = vec![AigLit::new(n, false)];
             while let Some(l) = stack.pop() {
                 let expandable = !l.complemented()
-                    && l.node() != n_is_leaf_sentinel()
                     && aig.and_fanins(l.node()).is_some()
                     && (l.node() == n || fanout[l.node()] == 1);
                 if expandable {
@@ -108,7 +107,7 @@ pub fn balance(aig: &Aig) -> Aig {
                 }
             }
             // Pair the two shallowest leaves repeatedly.
-            let levels = new.levels();
+            new.extend_levels(&mut levels);
             let mut items: Vec<(usize, AigLit)> = leaves
                 .into_iter()
                 .map(|l| (levels[l.node()], l))
@@ -130,13 +129,6 @@ pub fn balance(aig: &Aig) -> Aig {
     new
 }
 
-// Balance never treats a node index as this; helper kept for clarity of the
-// expandable condition (no real sentinel is needed because node 0 is the
-// constant and has no fanins).
-fn n_is_leaf_sentinel() -> usize {
-    usize::MAX
-}
-
 /// Cut-based local resynthesis (ABC's `rewrite`/`refactor` simplified): for
 /// each node, extract a cut of at most `k` (≤ 6) leaves, compute its truth
 /// table, resynthesize it by Shannon decomposition, and keep whichever of
@@ -154,6 +146,7 @@ pub fn rewrite(aig: &Aig, k: usize) -> Aig {
     for i in 0..aig.num_inputs() {
         map[1 + i] = new.input(i);
     }
+    let mut memo = Vec::new();
     for n in 0..aig.num_nodes() {
         if !live[n] {
             continue;
@@ -163,7 +156,7 @@ pub fn rewrite(aig: &Aig, k: usize) -> Aig {
         };
         let cut = find_cut(aig, n, k, &fanout);
         let candidate = if cut.len() <= k {
-            let tt = truth_table(aig, n, &cut);
+            let tt = truth_table(aig, n, &cut, &mut memo);
             let leaf_lits: Vec<AigLit> = cut.iter().map(|&c| map[c]).collect();
             // Try resynthesis first, then the plain translation; pick the
             // variant that grew the graph least (dead nodes are swept by the
@@ -247,14 +240,20 @@ fn find_cut(aig: &Aig, root: usize, k: usize, fanout: &[u32]) -> Vec<usize> {
 }
 
 /// Truth table of node `root` as a function of the cut leaves (≤ 6).
-fn truth_table(aig: &Aig, root: usize, cut: &[usize]) -> u64 {
-    let mut memo: HashMap<usize, u64> = HashMap::new();
-    for (i, &leaf) in cut.iter().enumerate() {
-        memo.insert(leaf, VAR_PATTERN[i]);
-    }
-    memo.insert(0, 0); // constant node
-    fn rec(aig: &Aig, n: usize, memo: &mut HashMap<usize, u64>) -> u64 {
-        if let Some(&v) = memo.get(&n) {
+///
+/// `memo` is the caller's reused `(node, table)` scratch: a cut's cone is a
+/// handful of nodes, so a linear scan beats hashing and nothing is
+/// allocated per call.
+fn truth_table(aig: &Aig, root: usize, cut: &[usize], memo: &mut Vec<(usize, u64)>) -> u64 {
+    memo.clear();
+    memo.push((0, 0)); // constant node
+    memo.extend(
+        cut.iter()
+            .enumerate()
+            .map(|(i, &leaf)| (leaf, VAR_PATTERN[i])),
+    );
+    fn rec(aig: &Aig, n: usize, memo: &mut Vec<(usize, u64)>) -> u64 {
+        if let Some(&(_, v)) = memo.iter().find(|&&(m, _)| m == n) {
             return v;
         }
         let (a, b) = aig
@@ -263,10 +262,10 @@ fn truth_table(aig: &Aig, root: usize, cut: &[usize]) -> u64 {
         let va = rec(aig, a.node(), memo) ^ if a.complemented() { !0 } else { 0 };
         let vb = rec(aig, b.node(), memo) ^ if b.complemented() { !0 } else { 0 };
         let v = va & vb;
-        memo.insert(n, v);
+        memo.push((n, v));
         v
     }
-    let tt = rec(aig, root, &mut memo);
+    let tt = rec(aig, root, memo);
     tt & mask(cut.len())
 }
 
