@@ -175,8 +175,9 @@ fn timeout_interrupts_verify_mid_solve() {
 /// configuration: its fault simulation and PODEM search on the ~20k-gate
 /// circuit run far past the deadline, and the flow's stop check ends the
 /// job between fault-simulation batches or PODEM targets. The timeout
-/// leaves room for the compile stage, and the job's stage log shows the
-/// deadline fired inside ATPG.
+/// leaves room for the compile stage, which parses the whole `.bench`
+/// text (under a second in a debug build), and the job's stage log shows
+/// the deadline fired inside ATPG.
 #[test]
 fn timeout_interrupts_atpg_mid_run() {
     let (mut handle, addr) = start(1);
@@ -184,7 +185,7 @@ fn timeout_interrupts_atpg_mid_run() {
     let comb = netlist::generate::random_comb(7, 48, 24, 20_000).unwrap();
     let job = json_object! { kind: "atpg", bench: netlist::bench::write(&comb) };
     let job = c
-        .submit_with(job, None, Some(Duration::from_secs(3)))
+        .submit_with(job, None, Some(Duration::from_secs(6)))
         .unwrap();
     let start = std::time::Instant::now();
     let st = c.wait_result(job).unwrap();
