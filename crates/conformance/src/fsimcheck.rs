@@ -121,21 +121,26 @@ fn dropping_reference(
     (detected, evals)
 }
 
-/// The multi-batch leg: [`MULTI_BATCHES`] sparse batches (each word the AND
-/// of three random words, so detections spread over several batches) in
-/// one `detect_batch_par_counted` call at 1, 2 and 4 threads must detect
-/// exactly what [`dropping_reference`] detects, with one full sweep per
-/// batch and one incremental propagation per fault evaluation run.
-fn multi_batch_leg(ci: usize, sim: &mut FaultSim, faults: &[Fault]) -> Result<(), String> {
-    let n_in = sim.compiled().inputs().len();
+/// The multi-batch leg's [`MULTI_BATCHES`] sparse batches for circuit
+/// `ci`: each word is the AND of three random words, so detections spread
+/// over several batches and dropping matters.
+fn multi_batches(ci: usize, n_in: usize) -> Vec<Vec<u64>> {
     let mut rng = SplitMix64::new(0xB47C + ci as u64);
-    let batches: Vec<Vec<u64>> = (0..MULTI_BATCHES)
+    (0..MULTI_BATCHES)
         .map(|_| {
             (0..n_in)
                 .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+/// The multi-batch leg: [`multi_batches`] in one `detect_batch_par_counted`
+/// call at 1, 2 and 4 threads must detect exactly what
+/// [`dropping_reference`] detects, with one full sweep per batch and one
+/// incremental propagation per fault evaluation run.
+fn multi_batch_leg(ci: usize, sim: &mut FaultSim, faults: &[Fault]) -> Result<(), String> {
+    let batches = multi_batches(ci, sim.compiled().inputs().len());
     let (seq, evals) = dropping_reference(sim, &batches, faults);
     for threads in [1usize, 2, 4] {
         let pool = Pool::with_threads(threads);
@@ -179,11 +184,9 @@ mod tests {
         let faults = collapse(c, enumerate_faults(c));
         let mut sim = FaultSim::new(c).unwrap();
         assert_eq!(multi_batch_leg(1, &mut sim, &faults), Ok(()));
-        // Sparse batches leave faults for later batches, so dropping
-        // matters: some but not all evaluations are skipped.
-        let batches: Vec<Vec<u64>> = (0..MULTI_BATCHES)
-            .map(|b| vec![0x0101_0101_0101_0101u64 << b; sim.compiled().inputs().len()])
-            .collect();
+        // The leg's batches leave faults for later batches and drop some:
+        // some but not all evaluations are skipped.
+        let batches = multi_batches(1, sim.compiled().inputs().len());
         let (_, evals) = dropping_reference(&mut sim, &batches, &faults);
         let n = faults.len() as u64;
         assert!(
