@@ -13,8 +13,11 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn write_c17() -> PathBuf {
-    let path = tmp("c17.bench");
+/// Writes c17 to a file of the calling test's own: tests run in parallel,
+/// and rewriting one shared input could truncate it under another test's
+/// `orap` process.
+fn write_c17(test: &str) -> PathBuf {
+    let path = tmp(&format!("{test}_c17.bench"));
     std::fs::write(&path, netlist::bench::write(&netlist::samples::c17()))
         .expect("write sample");
     path
@@ -22,7 +25,7 @@ fn write_c17() -> PathBuf {
 
 #[test]
 fn stats_prints_counts() {
-    let input = write_c17();
+    let input = write_c17("stats");
     let out = orap().arg("stats").arg(&input).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
@@ -32,7 +35,7 @@ fn stats_prints_counts() {
 
 #[test]
 fn lock_then_attack_recovers_key() {
-    let input = write_c17();
+    let input = write_c17("lock");
     let locked = tmp("c17_locked.bench");
     let out = orap()
         .args(["lock"])
@@ -67,7 +70,7 @@ fn lock_then_attack_recovers_key() {
 
 #[test]
 fn convert_bench_to_verilog_and_back() {
-    let input = write_c17();
+    let input = write_c17("convert");
     let v = tmp("c17.v");
     let back = tmp("c17_back.bench");
     assert!(orap().arg("convert").arg(&input).arg("-o").arg(&v).status().expect("run").success());
@@ -79,7 +82,7 @@ fn convert_bench_to_verilog_and_back() {
 
 #[test]
 fn protect_reports_key_sequence() {
-    let input = write_c17();
+    let input = write_c17("protect");
     let out_path = tmp("c17_orap.bench");
     let out = orap()
         .arg("protect")
