@@ -259,23 +259,34 @@ impl FaultSim {
 
     /// Simulates several 64-pattern batches (`batches[b]` holds one word per
     /// combinational input) and returns the ascending indices (into
-    /// `faults`) of the faults some batch detects, distributing the fault
-    /// list across `pool` in coarse work-weighted chunks with work-stealing.
+    /// `faults`) of the faults some batch detects, with the engine work
+    /// counters of the run, distributing the fault list across `pool` in
+    /// coarse work-weighted chunks with work-stealing.
     ///
-    /// The result equals a word-by-word loop over
+    /// The detected set equals a word-by-word loop over
     /// [`detect_batch`](FaultSim::detect_batch) that drops each detected
     /// fault before the next batch, but all batches share one dispatch. The
-    /// good-circuit values of every batch are computed once, up front. The
-    /// fault list is cut by [`cone_mass`](CompiledCircuit::cone_mass) into
-    /// at most ~64 chunks of roughly equal estimated propagation work; each
-    /// chunk runs the batches in order and drops a fault at its first
-    /// detecting batch. Each *worker* (not each chunk) owns one
-    /// `FaultScratch` — faulty mirror, undo list, level queue — allocated
-    /// once and reused for every chunk it steals. Chunk boundaries depend
-    /// only on the fault list and the circuit, and every fault's effect is
-    /// independent of chunk placement (the faulty mirror is restored after
-    /// each fault), so the detected set is bit-identical for any thread
-    /// count; steal order affects scheduling telemetry only.
+    /// good-circuit values of every batch are computed once, up front, so
+    /// the caller bounds the memory a run holds by the number of batches it
+    /// passes. The fault list is cut by
+    /// [`cone_mass`](CompiledCircuit::cone_mass) into at most ~64 chunks of
+    /// roughly equal estimated propagation work; each chunk runs the
+    /// batches in order and drops a fault at its first detecting batch.
+    /// Each *worker* (not each chunk) owns one `FaultScratch` — faulty
+    /// mirror, undo list, level queue — allocated once and reused for every
+    /// chunk it steals. Chunk boundaries depend only on the fault list and
+    /// the circuit, and every fault's effect is independent of chunk
+    /// placement (the faulty mirror is restored after each fault), so the
+    /// detected set is bit-identical for any thread count; steal order
+    /// affects scheduling telemetry only.
+    ///
+    /// The counters record one full sweep per batch, one incremental
+    /// propagation per fault evaluation actually run (a dropped fault is
+    /// not simulated on later batches), and events summed over all chunks.
+    ///
+    /// `stop` is consulted before every batch's good-value sweep and before
+    /// every batch inside every chunk; once it returns `true` the run ends
+    /// and returns `None`. Pass `&|| false` to run to completion.
     ///
     /// # Panics
     ///
@@ -286,47 +297,17 @@ impl FaultSim {
         pool: &exec::Pool,
         batches: &[Vec<u64>],
         faults: &[Fault],
-    ) -> Vec<usize> {
-        self.detect_batch_par_counted(pool, batches, faults).0
-    }
-
-    /// [`detect_batch_par`](FaultSim::detect_batch_par) plus the engine
-    /// work counters of the run: one full sweep per batch, one incremental
-    /// propagation per fault evaluation actually run (a dropped fault is
-    /// not simulated on later batches), and events summed over all chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch's length differs from the combinational input
-    /// count.
-    pub fn detect_batch_par_counted(
-        &self,
-        pool: &exec::Pool,
-        batches: &[Vec<u64>],
-        faults: &[Fault],
-    ) -> (Vec<usize>, EngineCounters) {
-        self.detect_batches_until(pool, batches, faults, &|| false)
-            .expect("a stop check that never fires cannot stop the run")
-    }
-
-    /// [`detect_batch_par_counted`](FaultSim::detect_batch_par_counted)
-    /// that consults `stop` before every batch inside every chunk, and
-    /// returns `None` if it fired.
-    pub(crate) fn detect_batches_until(
-        &self,
-        pool: &exec::Pool,
-        batches: &[Vec<u64>],
-        faults: &[Fault],
         stop: &(dyn Fn() -> bool + Sync),
     ) -> Option<(Vec<usize>, EngineCounters)> {
-        let goods: Vec<Vec<u64>> = batches
-            .iter()
-            .map(|words| {
-                let mut good = Vec::new();
-                self.cc.eval_full_into(words, &mut good);
-                good
-            })
-            .collect();
+        let mut goods = Vec::with_capacity(batches.len());
+        for words in batches {
+            if stop() {
+                return None;
+            }
+            let mut good = Vec::new();
+            self.cc.eval_full_into(words, &mut good);
+            goods.push(good);
+        }
         let ends = chunk_plan(&self.cc, faults);
         let cc = &self.cc;
         let goods = &goods;
@@ -570,7 +551,8 @@ mod tests {
             let sequential = sim.detect_batch(&words, &faults);
             for threads in [1, 2, 8] {
                 let pool = exec::Pool::with_threads(threads);
-                let par = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
+                let batch = std::slice::from_ref(&words);
+                let (par, _) = sim.detect_batch_par(&pool, batch, &faults, &|| false).unwrap();
                 assert_eq!(par, sequential, "seed {seed}, {threads} threads");
             }
         }
@@ -586,7 +568,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let pool = exec::Pool::with_threads(threads);
             let batch = std::slice::from_ref(&words);
-            let (_, counters) = sim.detect_batch_par_counted(&pool, batch, &faults);
+            let (_, counters) = sim.detect_batch_par(&pool, batch, &faults, &|| false).unwrap();
             assert_eq!(counters.full_evals, 1);
             assert_eq!(counters.incremental_props, faults.len() as u64);
             assert!(counters.events > 0);
@@ -643,9 +625,10 @@ mod tests {
         let mut sim = FaultSim::new(&c).unwrap();
         let words = vec![0x5A5A_F00D_1234_8765u64; 10];
         let pool = exec::Pool::with_threads(2);
-        let clean = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
+        let batch = std::slice::from_ref(&words);
+        let (clean, _) = sim.detect_batch_par(&pool, batch, &faults, &|| false).unwrap();
         sim.sabotage_drop_chunk_boundary();
-        let broken = sim.detect_batch_par(&pool, std::slice::from_ref(&words), &faults);
+        let (broken, _) = sim.detect_batch_par(&pool, batch, &faults, &|| false).unwrap();
         assert_ne!(clean, broken, "dropped boundary faults must be observable");
     }
 

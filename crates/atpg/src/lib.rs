@@ -103,13 +103,20 @@ pub fn run_atpg(circuit: &Circuit, config: &AtpgConfig) -> Result<AtpgReport, Er
         .expect("a stop check that never fires cannot stop the flow"))
 }
 
+/// Random-phase batches per fault-simulation dispatch: 4096 patterns, as
+/// many as Table II and the `defend` benchmark workload simulate, so their
+/// random phase is one dispatch per circuit. A larger request runs in
+/// groups of this size, which bounds the good values held at once.
+const RANDOM_GROUP: usize = 64;
+
 /// [`run_atpg`] over an already-compiled artifact of `circuit`, for callers
 /// (such as a serving layer with a content-hashed artifact cache) that hold
 /// the shared `Arc<CompiledCircuit>` and must not pay a second compile.
 ///
 /// The artifact must be the compilation of `circuit`. `stop` is consulted
-/// before every fault-simulation batch inside every chunk and before every
-/// PODEM target; once it returns `true` the flow ends and returns `None`,
+/// throughout the flow: before every fault-simulation batch (its good-value
+/// sweep and its turn inside every chunk) and before every PODEM decision
+/// and backtrack. Once it returns `true` the flow ends and returns `None`,
 /// so a caller's cancel flag or deadline interrupts a long run.
 ///
 /// # Panics
@@ -127,15 +134,22 @@ pub fn run_atpg_compiled(
     let total = faults.len();
     let sim = fsim::FaultSim::from_compiled(Arc::clone(&cc));
 
-    // Phase 1: random patterns (HOPE prefilter), all batches in one
-    // fault-parallel dispatch that drops each fault at its first detection.
+    // Phase 1: random patterns (HOPE prefilter). Each group of batches is
+    // one fault-parallel dispatch that drops every fault at its first
+    // detection; the phase ends once no fault is left to detect.
     let mut rng = netlist::rng::SplitMix64::new(config.seed);
     let n_in = circuit.comb_inputs().len();
-    let batches: Vec<Vec<u64>> = (0..config.random_patterns.div_ceil(64))
-        .map(|_| (0..n_in).map(|_| rng.next_u64()).collect())
-        .collect();
-    let (detected, _) = sim.detect_batches_until(pool, &batches, &faults, stop)?;
-    let mut alive = undetected(&faults, &detected);
+    let mut alive = faults;
+    let mut batches_left = config.random_patterns.div_ceil(64);
+    while batches_left > 0 && !alive.is_empty() {
+        let group = batches_left.min(RANDOM_GROUP);
+        batches_left -= group;
+        let batches: Vec<Vec<u64>> = (0..group)
+            .map(|_| (0..n_in).map(|_| rng.next_u64()).collect())
+            .collect();
+        let (detected, _) = sim.detect_batch_par(pool, &batches, &alive, stop)?;
+        alive = undetected(&alive, &detected);
+    }
     let detected_random = total - alive.len();
 
     // Phase 2: PODEM on the survivors in order, dropping further faults
@@ -147,15 +161,12 @@ pub fn run_atpg_compiled(
     let mut aborted = 0usize;
     let mut head = 0usize;
     while head < alive.len() {
-        if stop() {
-            return None;
-        }
-        match podem_gen.generate(&alive[head]) {
+        match podem_gen.generate(&alive[head], stop)? {
             podem::Outcome::Test(pattern) => {
                 // Fault-simulate the new pattern to drop other faults too;
                 // only what the simulator confirms counts as detected.
                 let words = [pattern.iter().map(|&b| if b { !0 } else { 0 }).collect()];
-                let (detected, _) = sim.detect_batches_until(pool, &words, &alive[head..], stop)?;
+                let (detected, _) = sim.detect_batch_par(pool, &words, &alive[head..], stop)?;
                 assert_eq!(
                     detected.first(),
                     Some(&0),

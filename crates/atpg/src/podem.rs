@@ -386,8 +386,10 @@ impl Podem {
         }
     }
 
-    /// Attempts to generate a test for `fault`.
-    pub fn generate(&mut self, fault: &Fault) -> Outcome {
+    /// Attempts to generate a test for `fault`. `stop` is consulted before
+    /// every decision and backtrack; once it returns `true` the search ends
+    /// and returns `None`. Pass `&|| false` to search to completion.
+    pub fn generate(&mut self, fault: &Fault, stop: &dyn Fn() -> bool) -> Option<Outcome> {
         let cc = &*self.cc;
         let mut pi: Vec<Option<bool>> = vec![None; cc.inputs().len()];
         // Decision stack: (pi index, current value, other value tried?).
@@ -395,8 +397,13 @@ impl Podem {
         let mut backtracks = 0usize;
         self.state.imply(cc, fault);
         loop {
+            if stop() {
+                return None;
+            }
             if self.effect_at_output() {
-                return Outcome::Test(pi.iter().map(|v| v.unwrap_or(false)).collect());
+                return Some(Outcome::Test(
+                    pi.iter().map(|v| v.unwrap_or(false)).collect(),
+                ));
             }
             let advance = self
                 .objective(fault)
@@ -413,7 +420,7 @@ impl Podem {
                     // most recent untried one in a single update.
                     loop {
                         match decisions.pop() {
-                            None => return Outcome::Redundant,
+                            None => return Some(Outcome::Redundant),
                             Some((idx, _, true)) => {
                                 pi[idx] = None;
                                 self.state.update_pi(cc, idx, None, fault);
@@ -421,7 +428,7 @@ impl Podem {
                             Some((idx, val, false)) => {
                                 backtracks += 1;
                                 if backtracks > self.backtrack_limit {
-                                    return Outcome::Aborted;
+                                    return Some(Outcome::Aborted);
                                 }
                                 pi[idx] = Some(!val);
                                 decisions.push((idx, !val, true));
@@ -448,7 +455,7 @@ mod tests {
         let mut fsim = FaultSim::new(c).unwrap();
         let (mut tested, mut redundant, mut aborted) = (0, 0, 0);
         for f in &faults {
-            match podem.generate(f) {
+            match podem.generate(f, &|| false).unwrap() {
                 Outcome::Test(pattern) => {
                     assert!(
                         fsim.detects(&pattern, f),
@@ -512,7 +519,40 @@ mod tests {
         // b stuck-at-1: to detect we need a=1 (to sensitize the AND) and
         // o to differ; with a=1, o=1 regardless of b -> redundant.
         let f = Fault::stem_sa1(b);
-        assert_eq!(podem.generate(&f), Outcome::Redundant);
+        assert_eq!(podem.generate(&f, &|| false), Some(Outcome::Redundant));
+    }
+
+    /// `f = AND(XOR(a..), XNOR(a..))` over `n` inputs: `f` is constant 0,
+    /// and PODEM's three-valued implication cannot see it before every
+    /// input is assigned, so proving `f` stuck-at-0 redundant takes an
+    /// exhaustive search of all `2^n` assignments.
+    fn parity_contradiction(n: usize) -> (Circuit, Fault) {
+        let mut c = netlist::Circuit::new("parity");
+        let a: Vec<NetId> = (0..n).map(|i| c.add_input(format!("a{i}"))).collect();
+        let p = c.add_gate(GateKind::Xor, a.clone(), "p").unwrap();
+        let q = c.add_gate(GateKind::Xnor, a, "q").unwrap();
+        let f = c.add_gate(GateKind::And, vec![p, q], "f").unwrap();
+        c.mark_output(f);
+        (c, Fault::stem_sa0(f))
+    }
+
+    #[test]
+    fn stop_ends_an_exhaustive_search() {
+        let (c, f) = parity_contradiction(6);
+        let mut podem = Podem::new(&c, usize::MAX).unwrap();
+        assert_eq!(podem.generate(&f, &|| false), Some(Outcome::Redundant));
+
+        // At 40 inputs the search would run ~2^40 backtracks; the stop
+        // check ends it at the 1000th decision or backtrack.
+        let (c, f) = parity_contradiction(40);
+        let mut podem = Podem::new(&c, usize::MAX).unwrap();
+        let calls = std::cell::Cell::new(0u32);
+        let stop = || {
+            calls.set(calls.get() + 1);
+            calls.get() >= 1000
+        };
+        assert_eq!(podem.generate(&f, &stop), None);
+        assert_eq!(calls.get(), 1000);
     }
 
     #[test]
@@ -522,7 +562,7 @@ mod tests {
         let mut podem = Podem::new(&c, 0).unwrap();
         let mut outcomes = std::collections::HashSet::new();
         for f in faults.iter().take(40) {
-            match podem.generate(f) {
+            match podem.generate(f, &|| false).unwrap() {
                 Outcome::Test(_) => outcomes.insert("test"),
                 Outcome::Redundant => outcomes.insert("red"),
                 Outcome::Aborted => outcomes.insert("abort"),
@@ -540,7 +580,7 @@ mod tests {
         let mut podem = Podem::new(&c, 1000).unwrap();
         let mut fsim = FaultSim::new(&c).unwrap();
         for f in [Fault::stem_sa0(a), Fault::stem_sa1(a)] {
-            match podem.generate(&f) {
+            match podem.generate(&f, &|| false).unwrap() {
                 Outcome::Test(p) => assert!(fsim.detects(&p, &f)),
                 other => panic!("expected test for {f}, got {other:?}"),
             }

@@ -55,12 +55,15 @@ fn detected_sets_identical_across_1_2_8_threads_at_1e5_gates() {
     );
 
     let batch = std::slice::from_ref(&words);
-    let (ref_par, ref_counters) =
-        sim.detect_batch_par_counted(&exec::Pool::with_threads(1), batch, &faults);
+    let (ref_par, ref_counters) = sim
+        .detect_batch_par(&exec::Pool::with_threads(1), batch, &faults, &|| false)
+        .expect("never stopped");
     assert_eq!(ref_par, seq, "parallel path diverged from sequential");
     for threads in [2usize, 8] {
         let pool = exec::Pool::with_threads(threads);
-        let (par, counters) = sim.detect_batch_par_counted(&pool, batch, &faults);
+        let (par, counters) = sim
+            .detect_batch_par(&pool, batch, &faults, &|| false)
+            .expect("never stopped");
         assert_eq!(par, seq, "detected set diverged on {threads} threads");
         assert_eq!(
             counters, ref_counters,

@@ -149,7 +149,9 @@ fn main() {
             let mut detected = Vec::new();
             for _ in 0..samples {
                 let t = Instant::now();
-                let (d, c) = fsim.detect_batch_par_counted(&pool, batch, &faults);
+                let (d, c) = fsim
+                    .detect_batch_par(&pool, batch, &faults, &|| false)
+                    .expect("never stopped");
                 walls.push(t.elapsed().as_nanos());
                 detected = d;
                 counters = c;

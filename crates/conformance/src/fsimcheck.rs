@@ -67,7 +67,9 @@ pub fn fsim_battery(fault: Option<FsimFault>) -> Result<(), String> {
             for threads in [1usize, 2, 4] {
                 let pool = Pool::with_threads(threads);
                 let one = std::slice::from_ref(&words);
-                let (par, counters) = sim.detect_batch_par_counted(&pool, one, &faults);
+                let (par, counters) = sim
+                    .detect_batch_par(&pool, one, &faults, &|| false)
+                    .expect("never stopped");
                 if par != seq {
                     return Err(format!(
                         "circuit {ci}, batch {batch}, {threads} threads: parallel \
@@ -135,8 +137,8 @@ fn multi_batches(ci: usize, n_in: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The multi-batch leg: [`multi_batches`] in one `detect_batch_par_counted`
-/// call at 1, 2 and 4 threads must detect exactly what
+/// The multi-batch leg: [`multi_batches`] in one `detect_batch_par` call
+/// at 1, 2 and 4 threads must detect exactly what
 /// [`dropping_reference`] detects, with one full sweep per batch and one
 /// incremental propagation per fault evaluation run.
 fn multi_batch_leg(ci: usize, sim: &mut FaultSim, faults: &[Fault]) -> Result<(), String> {
@@ -144,7 +146,9 @@ fn multi_batch_leg(ci: usize, sim: &mut FaultSim, faults: &[Fault]) -> Result<()
     let (seq, evals) = dropping_reference(sim, &batches, faults);
     for threads in [1usize, 2, 4] {
         let pool = Pool::with_threads(threads);
-        let (par, counters) = sim.detect_batch_par_counted(&pool, &batches, faults);
+        let (par, counters) = sim
+            .detect_batch_par(&pool, &batches, faults, &|| false)
+            .expect("never stopped");
         if par != seq {
             return Err(format!(
                 "circuit {ci}, {MULTI_BATCHES} batches, {threads} threads: parallel \

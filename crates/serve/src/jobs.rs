@@ -718,9 +718,10 @@ pub fn run_job(state: &ServeState, ctx: &JobCtx, spec: &JobSpec) -> Result<Json,
             if *backtrack_limit > 0 {
                 cfg.backtrack_limit = *backtrack_limit;
             }
-            // The flow consults the job's checkpoint between fault-simulation
-            // batches and before every PODEM target, so `cancel` and
-            // `timeout_ms` interrupt it mid-run.
+            // The flow consults the job's checkpoint before every
+            // fault-simulation batch and every PODEM decision and backtrack,
+            // so `cancel` and `timeout_ms` interrupt it mid-run, whatever
+            // the client's pattern count and backtrack limit.
             let report =
                 atpg::run_atpg_compiled(&src.circuit, Arc::clone(&src.compiled), &cfg, &|| {
                     ctx.checkpoint().is_err()

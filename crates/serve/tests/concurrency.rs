@@ -171,22 +171,13 @@ fn timeout_interrupts_verify_mid_solve() {
     });
 }
 
-/// A per-job timeout fires mid-run on an `atpg` job at the default
-/// configuration: its fault simulation and PODEM search on the ~20k-gate
-/// circuit run far past the deadline, and the flow's stop check ends the
-/// job between fault-simulation batches or PODEM targets. The timeout
-/// leaves room for the compile stage, which parses the whole `.bench`
-/// text (under a second in a debug build), and the job's stage log shows
-/// the deadline fired inside ATPG.
-#[test]
-fn timeout_interrupts_atpg_mid_run() {
+/// Submits `job` (an `atpg` job) with `timeout` to a one-worker daemon and
+/// asserts that it lands in `timed_out` well within 30 s, with a stage log
+/// that shows the deadline fired inside ATPG rather than before it.
+fn assert_atpg_times_out(job: Json, timeout: Duration) {
     let (mut handle, addr) = start(1);
     let mut c = connect(&addr);
-    let comb = netlist::generate::random_comb(7, 48, 24, 20_000).unwrap();
-    let job = json_object! { kind: "atpg", bench: netlist::bench::write(&comb) };
-    let job = c
-        .submit_with(job, None, Some(Duration::from_secs(6)))
-        .unwrap();
+    let job = c.submit_with(job, None, Some(timeout)).unwrap();
     let start = std::time::Instant::now();
     let st = c.wait_result(job).unwrap();
     let elapsed = start.elapsed();
@@ -205,6 +196,69 @@ fn timeout_interrupts_atpg_mid_run() {
             .any(|s| proto::get_str(s, "stage") == Some("atpg")),
         "the deadline fired before ATPG started: {status:?}"
     );
+    handle.stop();
+}
+
+/// A per-job timeout fires mid-run on an `atpg` job at the default
+/// configuration: its fault simulation and PODEM search on the ~20k-gate
+/// circuit run far past the deadline, and the flow's stop check ends the
+/// job. The timeout leaves room for the compile stage, which parses the
+/// whole `.bench` text (under a second in a debug build).
+#[test]
+fn timeout_interrupts_atpg_mid_run() {
+    let comb = netlist::generate::random_comb(7, 48, 24, 20_000).unwrap();
+    let job = json_object! { kind: "atpg", bench: netlist::bench::write(&comb) };
+    assert_atpg_times_out(job, Duration::from_secs(6));
+}
+
+/// A per-job timeout also ends a single PODEM search that the client's
+/// backtrack limit leaves unbounded. On `f = AND(XOR(a..), XNOR(a..))`
+/// over 40 inputs, `f` is constant 0, and proving `f` stuck-at-0
+/// redundant takes about 2^40 backtracks; the flow consults the job's
+/// checkpoint before each of them.
+#[test]
+fn timeout_interrupts_one_unbounded_podem_search() {
+    let mut comb = netlist::Circuit::new("parity");
+    let a: Vec<_> = (0..40).map(|i| comb.add_input(format!("a{i}"))).collect();
+    let p = comb.add_gate(netlist::GateKind::Xor, a.clone(), "p").unwrap();
+    let q = comb.add_gate(netlist::GateKind::Xnor, a, "q").unwrap();
+    let f = comb.add_gate(netlist::GateKind::And, vec![p, q], "f").unwrap();
+    comb.mark_output(f);
+    let job = json_object! {
+        kind: "atpg",
+        bench: netlist::bench::write(&comb),
+        backtrack_limit: 1u64 << 60,
+    };
+    assert_atpg_times_out(job, Duration::from_millis(300));
+}
+
+/// A client-chosen random-pattern count costs neither unbounded memory nor
+/// time once every fault is detected: the random phase holds at most 4096
+/// patterns' good values at a time and ends when no fault is left, so
+/// 10^12 patterns on c17 (no redundant fault) finish at once, and the
+/// daemon serves the next job.
+#[test]
+fn huge_random_pattern_count_ends_once_every_fault_is_detected() {
+    let (mut handle, addr) = start(1);
+    let mut c = connect(&addr);
+    let bench = netlist::bench::write(&netlist::samples::c17());
+    for _ in 0..2 {
+        let job = json_object! {
+            kind: "atpg",
+            bench: bench.clone(),
+            random_patterns: 1_000_000_000_000u64,
+        };
+        let job = c
+            .submit_with(job, None, Some(Duration::from_secs(30)))
+            .unwrap();
+        let st = c.wait_result(job).unwrap();
+        assert_eq!(proto::get_str(&st, "state"), Some("done"), "{st:?}");
+        let result = proto::get(&st, "result").unwrap();
+        assert_eq!(
+            proto::get_u64(result, "detected"),
+            proto::get_u64(result, "total_faults")
+        );
+    }
     handle.stop();
 }
 

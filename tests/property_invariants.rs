@@ -208,7 +208,7 @@ qcheck::props! {
         let mut podem = atpg::podem::Podem::new(&c, 2000).unwrap();
         let mut fsim = atpg::fsim::FaultSim::new(&c).unwrap();
         for f in faults.iter().take(25) {
-            if let atpg::podem::Outcome::Test(pattern) = podem.generate(f) {
+            if let Some(atpg::podem::Outcome::Test(pattern)) = podem.generate(f, &|| false) {
                 qcheck::prop_assert!(fsim.detects(&pattern, f), "fault {}", f);
             }
         }
